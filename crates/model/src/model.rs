@@ -31,6 +31,7 @@
 //!   seed's original per-head scalar loops, kept as the parity baseline for
 //!   tests and the "scalar" arm of the throughput benchmarks.
 
+use cb_tensor::matrix::SCORE_TILE_MIN_ROWS;
 use cb_tensor::ops;
 use cb_tensor::pool;
 use cb_tensor::Matrix;
@@ -285,6 +286,13 @@ impl Model {
         } else {
             None
         };
+        // With enough query rows the scores run as tiles over keys laid out
+        // once here for every head; decode's single row keeps the dot
+        // kernel, for which the layout would cost more than it saves.
+        let keys = (sorted && q.rows() >= SCORE_TILE_MIN_ROWS).then(|| {
+            scratch.keys.pack(k_all);
+            &scratch.keys
+        });
 
         let run_head = |h: usize, hs: &mut HeadScratch| {
             let head = &heads[h];
@@ -295,14 +303,15 @@ impl Model {
                     // only for keys below its causal cutoff (scale folded
                     // into the store), the tail is exact 0.0 (so the
                     // context product skips it too).
-                    q.matmul_transposed_block_limited_into(
-                        k_all,
-                        lo,
-                        hi,
-                        c,
-                        head.scale,
-                        &mut hs.scores,
-                    );
+                    let scores = &mut hs.scores;
+                    match keys {
+                        Some(kp) => {
+                            q.matmul_key_panels_limited_into(kp, lo, hi, c, head.scale, scores)
+                        }
+                        None => q.matmul_transposed_block_limited_into(
+                            k_all, lo, hi, c, head.scale, scores,
+                        ),
+                    }
                     bias_softmax_sorted(&mut hs.scores, q_pos, k_pos, k_pos_f32, head.bias, c);
                 }
                 None => {

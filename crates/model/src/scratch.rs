@@ -13,7 +13,7 @@
 //! s.k, ..)`), which is what lets one arena feed several kernels in a
 //! single layer step. Contents between calls are unspecified.
 
-use cb_tensor::Matrix;
+use cb_tensor::{KeyPanels, Matrix};
 
 /// Per-head attention buffers.
 #[derive(Clone, Debug, Default)]
@@ -49,6 +49,9 @@ pub struct AttendScratch {
     /// Per-query causal cutoffs (first masked key index), shared by all
     /// heads of one attend call.
     pub cuts: Vec<usize>,
+    /// The keys laid out once per attend call for the tiled score kernel
+    /// (only when the call has enough query rows to use it).
+    pub keys: KeyPanels,
 }
 
 impl AttendScratch {

@@ -23,4 +23,4 @@ pub mod pool;
 pub mod rope;
 pub mod stats;
 
-pub use matrix::Matrix;
+pub use matrix::{KeyPanels, Matrix};

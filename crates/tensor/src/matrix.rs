@@ -1,18 +1,38 @@
 //! Row-major dense f32 matrix and matmul kernels.
 //!
-//! Two kernel families live here:
+//! The kernels are portable Rust that the compiler vectorizes; none
+//! reassociates floating-point arithmetic, so every output element has
+//! one fixed evaluation order, and that order — not the loop structure
+//! around it — is each kernel's contract:
 //!
-//! - **Blocked kernels** ([`Matrix::matmul`], [`Matrix::matmul_transposed`]
-//!   and their `_into` / column-block variants): register-tiled loops with
-//!   lane-split accumulators the compiler vectorizes without needing FP
-//!   reassociation, a dense fast path with no per-element branches, and a
-//!   sparse path that skips all-zero rows of the right-hand operand. The
-//!   sparse path is chosen by a one-time density probe cached per matrix
-//!   (compiled program weights are heavily row-sparse — e.g. a subspace
-//!   read touches 32 of 224 rows — while noise weights are dense).
-//!   Large products are split across the crate's [`crate::pool`] thread
-//!   pool by disjoint output-row ranges, which keeps results bit-identical
-//!   for any thread count.
+//! - **GEMM** ([`Matrix::matmul`], [`Matrix::matmul_into`],
+//!   [`Matrix::matmul_cols_into`]): a register tile of 6 output rows × 32
+//!   columns keeps its accumulators in registers for the whole `k` loop
+//!   and stores them once; the rows past the last full tile run as one
+//!   tile of height `m % 6`, and column tails as 8-wide, then 1-wide
+//!   tiles. A single remaining row (a decode step's product) is an AXPY
+//!   over the output row instead: it streams the weights row by row, which
+//!   is faster when they come from L3. Per element: start at `+0.0`, then
+//!   `acc = b.mul_add(a, acc)`
+//!   over the participating `k` in ascending order, skipping a `k` at
+//!   which the tile's whole `a` column is zero (exact: it adds `±0.0`).
+//!   Since no step depends on the tile shape, the result is bit-identical
+//!   for every shape, row partition and thread count. A one-time density
+//!   probe cached per matrix lets the `k` loop skip a left operand's
+//!   all-zero columns and a right operand's all-zero rows (compiled
+//!   program weights are heavily row-sparse — e.g. a subspace read
+//!   touches 32 of 224 rows — while noise weights are dense). Large
+//!   products are split across the crate's [`crate::pool`] thread pool by
+//!   disjoint output-row ranges.
+//! - **Attention scores** ([`Matrix::matmul_transposed_block_limited_into`]
+//!   and friends): per element, [`dot1`]'s 16 lane accumulators of fused
+//!   products from `+0.0`, summed in lane order, plus the unfused tail
+//!   dims. Two paths produce those bits. With at least
+//!   [`SCORE_TILE_MIN_ROWS`] query rows the keys are laid out as
+//!   [`KeyPanels`] (`Kᵀ` in 16-key panels) and tiles of 4 query rows × 16
+//!   keys hold one lane's accumulators for 16 keys side by side; below it
+//!   (decode's single row) the dot kernel runs, because the layout would
+//!   cost more than the tiles save.
 //! - **Reference kernels** ([`Matrix::matmul_reference`],
 //!   [`Matrix::matmul_transposed_reference`]): the original scalar loops,
 //!   kept verbatim as the parity baseline for tests and the "scalar" arm
@@ -30,15 +50,26 @@ use std::sync::OnceLock;
 
 use crate::pool;
 
-/// Row unroll of the dense kernel (parallel row chunks stay aligned to it
-/// so every chunk groups rows the way the serial kernel would; grouping
-/// never changes per-element accumulation order, so this is purely a
-/// locality choice).
-const MR: usize = 8;
+/// Rows of the GEMM register tile.
+const MR: usize = 6;
+/// Columns of the GEMM register tile. At 8 lanes a vector, the 6 × 32
+/// accumulators take 24 of the 32 vector registers AVX-512VL offers,
+/// leaving room for the four `b` vectors and a broadcast `a`.
+const NR: usize = 32;
+/// Width of the GEMM's column-tail tile (one 8-lane vector).
+const NR_TAIL: usize = 8;
 /// Accumulator lanes of the dot-product (transposed) kernel.
 const LANES: usize = 16;
 /// Column pairs computed together by the transposed kernel.
 const JB: usize = 2;
+/// Query rows from which the causal score kernel lays the keys out as
+/// [`KeyPanels`] and runs [`SQ`] × [`SK`] tiles. Below it (decode's single
+/// row) the layout costs more than the tiles save, so the dot kernel runs.
+pub const SCORE_TILE_MIN_ROWS: usize = 16;
+/// Query rows of a score tile.
+const SQ: usize = 4;
+/// Keys of a score tile: one accumulator per key and lane group.
+const SK: usize = 16;
 /// A matrix axis is classified sparse when at most this fraction of its
 /// rows (or columns) contain a non-zero.
 const SPARSE_FRACTION: f32 = 0.75;
@@ -64,24 +95,6 @@ enum KSet<'a> {
     All(usize),
     /// Only these rows hold non-zeros.
     List(&'a [u32]),
-}
-
-impl KSet<'_> {
-    #[inline]
-    fn for_each(&self, mut f: impl FnMut(usize)) {
-        match self {
-            KSet::All(n) => {
-                for k in 0..*n {
-                    f(k);
-                }
-            }
-            KSet::List(rows) => {
-                for &k in *rows {
-                    f(k as usize);
-                }
-            }
-        }
-    }
 }
 
 /// A row-major dense `f32` matrix.
@@ -371,19 +384,19 @@ impl Matrix {
     /// Matrix product `self × rhs` written into `out` (resized, previous
     /// contents discarded, allocation reused when large enough).
     ///
-    /// Dispatches on `rhs`'s cached density probe: dense operands take the
-    /// register-tiled branch-free kernel; row-sparse operands (compiled
-    /// program weights) skip their all-zero rows outright. Splits output
-    /// rows across the [`crate::pool`] when the product is large enough —
-    /// per-row accumulation order is fixed, so results are bit-identical
-    /// for every pool size.
+    /// Dispatches on both operands' cached density probes: dense operands
+    /// run every `k`; a left operand's all-zero columns and a right
+    /// operand's all-zero rows (compiled program weights) are skipped
+    /// outright. Splits output rows across the [`crate::pool`] when the
+    /// product is large enough — per-element accumulation order is fixed,
+    /// so results are bit-identical for every pool size.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        out.zero_resize(self.rows, rhs.cols);
+        out.resize_dirty(self.rows, rhs.cols);
         let (m, n, kdim) = (self.rows, rhs.cols, self.cols);
         if m == 0 || n == 0 {
             return;
@@ -400,8 +413,8 @@ impl Matrix {
             gemm_block(&self.data, kdim, &rhs.data, n, 0, &mut out.data, m, n, &ks);
             return;
         }
-        // Chunk rows MR-aligned so every row sees the same tile shape it
-        // would serially (bit-identical output for any split).
+        // Whole register tiles per chunk, so only the last chunk runs a
+        // remainder tile.
         let threads = pool.threads();
         let chunk = (m.div_ceil(threads)).div_ceil(MR) * MR;
         let a = &self.data;
@@ -430,7 +443,7 @@ impl Matrix {
     pub fn matmul_cols_into(&self, rhs: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul_cols shape mismatch");
         assert!(lo <= hi && hi <= rhs.cols);
-        out.zero_resize(self.rows, hi - lo);
+        out.resize_dirty(self.rows, hi - lo);
         if self.rows == 0 || hi == lo {
             return;
         }
@@ -511,11 +524,16 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_transposed_block_into`] with a per-row column
-    /// limit: row `i` computes dots only against `rhs` rows `0..limits[i]`
-    /// and fills the rest with exact `0.0`. This is the causal attention
-    /// score kernel — masked positions are never computed at all (for
-    /// prefill that halves the score work), and the exact zeros let the
-    /// downstream context product skip them too.
+    /// limit and a scale: row `i` gets `scale · dot(q_i, k_j)` for `rhs`
+    /// rows `j < limits[i]` and exact `0.0` for the rest. This is the
+    /// causal attention score kernel — masked positions are never computed
+    /// at all (for prefill that halves the score work), and the exact zeros
+    /// let the downstream context product skip them too.
+    ///
+    /// With at least [`SCORE_TILE_MIN_ROWS`] query rows the key block is
+    /// laid out as [`KeyPanels`] and the tiled kernel of
+    /// [`Matrix::matmul_key_panels_limited_into`] runs; below it, the dot
+    /// kernel. Both produce the same bits.
     ///
     /// # Panics
     ///
@@ -531,6 +549,25 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         assert_eq!(self.cols, rhs.cols, "column-block width mismatch");
+        if self.rows >= SCORE_TILE_MIN_ROWS {
+            let mut keys = KeyPanels::default();
+            keys.pack_block(rhs, lo, hi);
+            self.scores_tiled_into(&keys, lo, hi, 0, limits, scale, out);
+        } else {
+            self.scores_dot_into(rhs, lo, hi, limits, scale, out);
+        }
+    }
+
+    /// The dot kernel of [`Matrix::matmul_transposed_block_limited_into`].
+    fn scores_dot_into(
+        &self,
+        rhs: &Matrix,
+        lo: usize,
+        hi: usize,
+        limits: &[usize],
+        scale: f32,
+        out: &mut Matrix,
+    ) {
         assert!(lo <= hi && hi <= self.cols);
         assert_eq!(limits.len(), self.rows, "one limit per query row");
         // Every element is written below (live dots + zero tail), so the
@@ -545,61 +582,118 @@ impl Matrix {
         let (lda, ldb) = (self.cols, rhs.cols);
         let a = &self.data;
         let b = &rhs.data;
-        // Query tiling: each key quad is loaded once per QI query rows
-        // (the key matrix exceeds L2 at paper-scale contexts, so streaming
-        // it per query row would be memory-bound).
-        const QI: usize = 8;
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = QI.min(m - i0);
-            let cmin = limits[i0..i0 + rows].iter().copied().min().unwrap();
-            let full = cmin - cmin % 4;
-            let mut j = 0;
-            while j < full {
-                let b0 = &b[j * ldb + lo..j * ldb + hi];
-                let b1 = &b[(j + 1) * ldb + lo..(j + 1) * ldb + hi];
-                let b2 = &b[(j + 2) * ldb + lo..(j + 2) * ldb + hi];
-                let b3 = &b[(j + 3) * ldb + lo..(j + 3) * ldb + hi];
-                for r in 0..rows {
-                    let i = i0 + r;
-                    let ar = &a[i * lda + lo..i * lda + hi];
-                    let d = dot4(ar, b0, b1, b2, b3);
-                    let o = i * jn + j;
-                    out.data[o] = d[0] * scale;
-                    out.data[o + 1] = d[1] * scale;
-                    out.data[o + 2] = d[2] * scale;
-                    out.data[o + 3] = d[3] * scale;
-                }
-                j += 4;
-            }
-            // Per-row remainder past the tile's shared prefix, plus the
-            // zero tail.
-            for r in 0..rows {
-                let i = i0 + r;
-                let lim = limits[i];
+        // Each key quad is loaded once and dotted with every query row
+        // (below the tile threshold there are at most 15 of them).
+        let cmin = limits.iter().copied().min().unwrap();
+        let full = cmin - cmin % 4;
+        let mut j = 0;
+        while j < full {
+            let b0 = &b[j * ldb + lo..j * ldb + hi];
+            let b1 = &b[(j + 1) * ldb + lo..(j + 1) * ldb + hi];
+            let b2 = &b[(j + 2) * ldb + lo..(j + 2) * ldb + hi];
+            let b3 = &b[(j + 3) * ldb + lo..(j + 3) * ldb + hi];
+            for i in 0..m {
                 let ar = &a[i * lda + lo..i * lda + hi];
-                let orow = &mut out.data[i * jn..(i + 1) * jn];
-                let mut jj = full;
-                while jj + 4 <= lim {
-                    let b0 = &b[jj * ldb + lo..jj * ldb + hi];
-                    let b1 = &b[(jj + 1) * ldb + lo..(jj + 1) * ldb + hi];
-                    let b2 = &b[(jj + 2) * ldb + lo..(jj + 2) * ldb + hi];
-                    let b3 = &b[(jj + 3) * ldb + lo..(jj + 3) * ldb + hi];
-                    let d = dot4(ar, b0, b1, b2, b3);
-                    orow[jj] = d[0] * scale;
-                    orow[jj + 1] = d[1] * scale;
-                    orow[jj + 2] = d[2] * scale;
-                    orow[jj + 3] = d[3] * scale;
-                    jj += 4;
-                }
-                while jj < lim {
-                    let br = &b[jj * ldb + lo..jj * ldb + hi];
-                    orow[jj] = dot1(ar, br) * scale;
-                    jj += 1;
-                }
-                orow[lim..].fill(0.0);
+                let d = dot4(ar, b0, b1, b2, b3);
+                let o = i * jn + j;
+                out.data[o] = d[0] * scale;
+                out.data[o + 1] = d[1] * scale;
+                out.data[o + 2] = d[2] * scale;
+                out.data[o + 3] = d[3] * scale;
             }
-            i0 += rows;
+            j += 4;
+        }
+        // Per-row remainder past the shared prefix, plus the zero tail.
+        for (i, &lim) in limits.iter().enumerate() {
+            let ar = &a[i * lda + lo..i * lda + hi];
+            let orow = &mut out.data[i * jn..(i + 1) * jn];
+            let mut jj = full;
+            while jj + 4 <= lim {
+                let b0 = &b[jj * ldb + lo..jj * ldb + hi];
+                let b1 = &b[(jj + 1) * ldb + lo..(jj + 1) * ldb + hi];
+                let b2 = &b[(jj + 2) * ldb + lo..(jj + 2) * ldb + hi];
+                let b3 = &b[(jj + 3) * ldb + lo..(jj + 3) * ldb + hi];
+                let d = dot4(ar, b0, b1, b2, b3);
+                orow[jj] = d[0] * scale;
+                orow[jj + 1] = d[1] * scale;
+                orow[jj + 2] = d[2] * scale;
+                orow[jj + 3] = d[3] * scale;
+                jj += 4;
+            }
+            while jj < lim {
+                let br = &b[jj * ldb + lo..jj * ldb + hi];
+                orow[jj] = dot1(ar, br) * scale;
+                jj += 1;
+            }
+            orow[lim..].fill(0.0);
+        }
+    }
+
+    /// [`Matrix::matmul_transposed_block_limited_into`] against keys the
+    /// caller laid out once for all heads: `keys` holds every dim of every
+    /// key, and dims `lo..hi` of it pair with columns `lo..hi` of `self`.
+    /// Always runs the tiled kernel, whatever the row count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` is not `self.cols()` wide, `limits.len() !=
+    /// self.rows()` or any limit exceeds the key count.
+    pub fn matmul_key_panels_limited_into(
+        &self,
+        keys: &KeyPanels,
+        lo: usize,
+        hi: usize,
+        limits: &[usize],
+        scale: f32,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(self.cols, keys.width, "column-block width mismatch");
+        self.scores_tiled_into(keys, lo, hi, lo, limits, scale, out);
+    }
+
+    /// The tiled score kernel: columns `lo..hi` of `self` against dims
+    /// `key_lo..key_lo + hi - lo` of `keys`.
+    #[allow(clippy::too_many_arguments)]
+    fn scores_tiled_into(
+        &self,
+        keys: &KeyPanels,
+        lo: usize,
+        hi: usize,
+        key_lo: usize,
+        limits: &[usize],
+        scale: f32,
+        out: &mut Matrix,
+    ) {
+        assert!(lo <= hi && hi <= self.cols && key_lo + hi - lo <= keys.width);
+        assert_eq!(limits.len(), self.rows, "one limit per query row");
+        assert!(
+            limits.iter().all(|&l| l <= keys.keys),
+            "limit exceeds key rows"
+        );
+        out.resize_dirty(self.rows, keys.keys);
+        if self.rows == 0 || keys.keys == 0 {
+            return;
+        }
+        let job = Scores {
+            q: self,
+            lo,
+            hd: hi - lo,
+            keys,
+            key_lo,
+            limits,
+            scale,
+        };
+        let mut panel = vec![0.0f32; SQ * job.hd];
+        let full = self.rows - self.rows % SQ;
+        for i in (0..full).step_by(SQ) {
+            scores_row_tile::<SQ>(&job, i, &mut panel, &mut out.data);
+        }
+        match self.rows - full {
+            0 => {}
+            1 => scores_row_tile::<1>(&job, full, &mut panel, &mut out.data),
+            2 => scores_row_tile::<2>(&job, full, &mut panel, &mut out.data),
+            3 => scores_row_tile::<3>(&job, full, &mut panel, &mut out.data),
+            _ => unreachable!("remainder of a division by SQ"),
         }
     }
 
@@ -875,16 +969,29 @@ fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
     s
 }
 
-/// The dense GEMM core: `out[m × n] += a[m × kdim] × b[·, bcol..bcol+n]`,
-/// with `b` viewed through row stride `ldb` at column offset `bcol`.
-/// `out` is contiguous `m × n` and must be zeroed. `ks` selects the
-/// participating rows of `b` (the probed sparse path).
+/// The operands of one [`gemm_block`] call: `a` is row-major with row
+/// stride `lda`, `b` is viewed through row stride `ldb` at column offset
+/// `bcol`, the output is contiguous with `n` columns, and `ks` selects the
+/// participating `k`.
+struct Gemm<'a> {
+    a: &'a [f32],
+    lda: usize,
+    b: &'a [f32],
+    ldb: usize,
+    bcol: usize,
+    n: usize,
+    ks: &'a KSet<'a>,
+}
+
+/// The GEMM core: `out[m × n] = a[m × kdim] × b[·, bcol..bcol+n]` over
+/// the `k` in `ks` (the probed sparse path). Every element of `out` is
+/// stored, so it need not be cleared.
 ///
-/// The kernel is a branch-free ikj AXPY — the shape rustc autovectorizes
-/// best on this workload — unrolled 8/4/2 output rows deep so each `b`
-/// row is loaded once per row group. Every output element accumulates in
-/// fixed ascending-`ks` order, so the result is independent of how
-/// callers partition `m` (bit-identical for any thread count).
+/// Rows go in [`MR`]-high tiles plus one remainder tile of height
+/// `m % MR`, where a single remaining row is an AXPY ([`gemm_row`]). Each
+/// tile first packs its rows' live `a` columns (see [`gemm_row_tile`]);
+/// [`gemm_tile`] states the per-element contract that makes the result
+/// independent of the tiling.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     a: &[f32],
@@ -897,126 +1004,266 @@ fn gemm_block(
     n: usize,
     ks: &KSet<'_>,
 ) {
-    let mut i = 0;
-    // 8-row main loop: each `b` row is loaded once per eight output rows.
-    // This is what makes batched decode pay — at occupancy ≥ 8 the fused
-    // per-layer matmuls stream each weight panel an 8th as often as
-    // occupancy-1 decode. Skip-grouping rows is exact: accumulators start
-    // at +0.0 and `x + ±0.0 == x` bit-for-bit for every reachable x, so
-    // computing a zero row alongside non-zero neighbours equals skipping
-    // it, and per-element accumulation stays in ascending-`ks` order.
-    while i + 8 <= m {
-        let (o0, rest) = out[i * n..].split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, rest) = rest.split_at_mut(n);
-        let (o3, rest) = rest.split_at_mut(n);
-        let (o4, rest) = rest.split_at_mut(n);
-        let (o5, rest) = rest.split_at_mut(n);
-        let (o6, rest) = rest.split_at_mut(n);
-        let o7 = &mut rest[..n];
-        ks.for_each(|k| {
-            let a0 = a[i * lda + k];
-            let a1 = a[(i + 1) * lda + k];
-            let a2 = a[(i + 2) * lda + k];
-            let a3 = a[(i + 3) * lda + k];
-            let a4 = a[(i + 4) * lda + k];
-            let a5 = a[(i + 5) * lda + k];
-            let a6 = a[(i + 6) * lda + k];
-            let a7 = a[(i + 7) * lda + k];
-            if a0 == 0.0
-                && a1 == 0.0
-                && a2 == 0.0
-                && a3 == 0.0
-                && a4 == 0.0
-                && a5 == 0.0
-                && a6 == 0.0
-                && a7 == 0.0
-            {
-                return;
-            }
-            let brow = &b[k * ldb + bcol..k * ldb + bcol + n];
-            let lo = o0
-                .iter_mut()
-                .zip(o1.iter_mut().zip(o2.iter_mut().zip(o3.iter_mut())));
-            let hi = o4
-                .iter_mut()
-                .zip(o5.iter_mut().zip(o6.iter_mut().zip(o7.iter_mut())));
-            for (((x0, (x1, (x2, x3))), (x4, (x5, (x6, x7)))), &bv) in lo.zip(hi).zip(brow) {
-                *x0 = bv.mul_add(a0, *x0);
-                *x1 = bv.mul_add(a1, *x1);
-                *x2 = bv.mul_add(a2, *x2);
-                *x3 = bv.mul_add(a3, *x3);
-                *x4 = bv.mul_add(a4, *x4);
-                *x5 = bv.mul_add(a5, *x5);
-                *x6 = bv.mul_add(a6, *x6);
-                *x7 = bv.mul_add(a7, *x7);
-            }
-        });
-        i += 8;
+    let g = Gemm {
+        a,
+        lda,
+        b,
+        ldb,
+        bcol,
+        n,
+        ks,
+    };
+    let nk = match *ks {
+        KSet::All(kdim) => kdim,
+        KSet::List(list) => list.len(),
+    };
+    // A single row packs nothing (see `gemm_row`).
+    let (mut panel, mut live) = match m {
+        1 => (Vec::new(), Vec::new()),
+        _ => (vec![0.0f32; MR.min(m) * nk], vec![0u32; nk]),
+    };
+    let full = m - m % MR;
+    let (body, tail) = out[..m * n].split_at_mut(full * n);
+    for (t, rows) in body.chunks_exact_mut(MR * n).enumerate() {
+        gemm_row_tile::<MR>(&g, t * MR, &mut panel, &mut live, rows);
     }
-    // 4-row loop: each `b` row is loaded once per four output rows,
-    // which matters when `b` overflows L2 (the fused QKV weight does).
-    while i + 4 <= m {
-        let (o0, rest) = out[i * n..].split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, rest) = rest.split_at_mut(n);
-        let o3 = &mut rest[..n];
-        ks.for_each(|k| {
-            let a0 = a[i * lda + k];
-            let a1 = a[(i + 1) * lda + k];
-            let a2 = a[(i + 2) * lda + k];
-            let a3 = a[(i + 3) * lda + k];
-            if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                // Structural zeros (masked attention rows, sparse
-                // residuals) contribute nothing; skipping them is exact.
-                return;
-            }
-            let brow = &b[k * ldb + bcol..k * ldb + bcol + n];
-            for ((((x0, x1), x2), x3), &bv) in o0
-                .iter_mut()
-                .zip(o1.iter_mut())
-                .zip(o2.iter_mut())
-                .zip(o3.iter_mut())
-                .zip(brow)
-            {
-                *x0 = bv.mul_add(a0, *x0);
-                *x1 = bv.mul_add(a1, *x1);
-                *x2 = bv.mul_add(a2, *x2);
-                *x3 = bv.mul_add(a3, *x3);
-            }
-        });
-        i += 4;
+    match m - full {
+        0 => {}
+        1 => gemm_row(&g, full, tail),
+        2 => gemm_row_tile::<2>(&g, full, &mut panel, &mut live, tail),
+        3 => gemm_row_tile::<3>(&g, full, &mut panel, &mut live, tail),
+        4 => gemm_row_tile::<4>(&g, full, &mut panel, &mut live, tail),
+        5 => gemm_row_tile::<5>(&g, full, &mut panel, &mut live, tail),
+        _ => unreachable!("remainder of a division by MR"),
     }
-    while i + 2 <= m {
-        let (o0, rest) = out[i * n..].split_at_mut(n);
-        let o1 = &mut rest[..n];
-        ks.for_each(|k| {
-            let a0 = a[i * lda + k];
-            let a1 = a[(i + 1) * lda + k];
-            if a0 == 0.0 && a1 == 0.0 {
-                return;
-            }
-            let brow = &b[k * ldb + bcol..k * ldb + bcol + n];
-            for ((x0, x1), &bv) in o0.iter_mut().zip(o1.iter_mut()).zip(brow) {
-                *x0 = bv.mul_add(a0, *x0);
-                *x1 = bv.mul_add(a1, *x1);
-            }
-        });
-        i += 2;
+}
+
+/// Output rows `i..i + R` (`out` holds exactly those rows).
+///
+/// Packs the rows' `a` values at each `k` of `ks` side by side in `panel`,
+/// keeping only the `k` at which some row is non-zero (`live`), so the
+/// zero skip runs once per row tile instead of once per column tile, and
+/// the tiles' inner loop reads `a` contiguously. Then [`NR`]-wide column
+/// tiles, [`NR_TAIL`]-wide, and single columns.
+fn gemm_row_tile<const R: usize>(
+    g: &Gemm<'_>,
+    i: usize,
+    panel: &mut [f32],
+    live: &mut [u32],
+    out: &mut [f32],
+) {
+    let (panel, _) = panel[..R * live.len()].as_chunks_mut::<R>();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * g.lda..(i + r + 1) * g.lda]);
+    let mut n_live = 0;
+    for idx in 0..live.len() {
+        let k = match *g.ks {
+            KSet::All(_) => idx,
+            KSet::List(list) => list[idx] as usize,
+        };
+        let av: [f32; R] = std::array::from_fn(|r| rows[r][k]);
+        panel[n_live] = av;
+        live[n_live] = k as u32;
+        n_live += usize::from(av.iter().any(|&x| x != 0.0));
     }
-    if i < m {
-        let orow = &mut out[i * n..(i + 1) * n];
-        ks.for_each(|k| {
-            let av = a[i * lda + k];
-            if av == 0.0 {
-                return;
-            }
-            let brow = &b[k * ldb + bcol..k * ldb + bcol + n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
+    let (panel, live) = (&panel[..n_live], &live[..n_live]);
+    let mut j = 0;
+    while j + NR <= g.n {
+        gemm_tile::<R, NR>(g, panel, live, j, out);
+        j += NR;
+    }
+    while j + NR_TAIL <= g.n {
+        gemm_tile::<R, NR_TAIL>(g, panel, live, j, out);
+        j += NR_TAIL;
+    }
+    while j < g.n {
+        gemm_tile::<R, 1>(g, panel, live, j, out);
+        j += 1;
+    }
+}
+
+/// Output row `i` alone, as an AXPY over the row itself (which stays in
+/// L1), in the same per-element order as [`gemm_tile`]. It reads `b` row
+/// after row, which the prefetchers stream faster than a register tile's
+/// column panels when the weights do not fit L2, and it needs no packing
+/// pass: an occupancy-1 decode step measured 5–9 % faster this way.
+fn gemm_row(g: &Gemm<'_>, i: usize, out: &mut [f32]) {
+    let a = &g.a[i * g.lda..(i + 1) * g.lda];
+    out.fill(0.0);
+    let mut axpy = |k: usize| {
+        let av = a[k];
+        if av != 0.0 {
+            let brow = &g.b[k * g.ldb + g.bcol..][..g.n];
+            for (o, &bv) in out.iter_mut().zip(brow) {
                 *o = bv.mul_add(av, *o);
             }
-        });
+        }
+    };
+    match *g.ks {
+        KSet::All(kdim) => (0..kdim).for_each(axpy),
+        KSet::List(list) => list.iter().for_each(|&k| axpy(k as usize)),
     }
+}
+
+/// One `R × C` register tile of the output at column `j`: the
+/// accumulators stay in registers for the whole `k` loop and are stored
+/// once at the end.
+///
+/// The per-element contract, which every tile shape keeps: output
+/// `(i, j)` starts at `+0.0` and runs `acc = b[k][j].mul_add(a[i][k], acc)`
+/// over `ks` in ascending order. A `k` at which all `R` rows of `a` are
+/// zero was dropped by the packing; that is exact, because accumulators
+/// start at `+0.0`
+/// and adding the `±0.0` product leaves every finite accumulator's bits
+/// unchanged. So the result is the same for every tile height, column
+/// tiling and row partition across the thread pool.
+#[inline(always)]
+fn gemm_tile<const R: usize, const C: usize>(
+    g: &Gemm<'_>,
+    panel: &[[f32; R]],
+    live: &[u32],
+    j: usize,
+    out: &mut [f32],
+) {
+    let col = g.bcol + j;
+    let mut acc = [[0.0f32; C]; R];
+    for (av, &k) in panel.iter().zip(live) {
+        let bv: &[f32; C] = g.b[k as usize * g.ldb + col..][..C]
+            .try_into()
+            .expect("slice of length C");
+        for r in 0..R {
+            for c in 0..C {
+                acc[r][c] = bv[c].mul_add(av[r], acc[r][c]);
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * g.n + j..][..C].copy_from_slice(row);
+    }
+}
+
+/// Keys laid out for the tiled attention-score kernel: `Kᵀ` cut into
+/// panels of [`SK`] keys. Panel `p` holds keys `p·SK..(p + 1)·SK` as
+/// `width` rows of `SK` values (row `d` is dim `d` of those keys), so a
+/// score tile reads one contiguous block; the last panel is zero-padded.
+/// Packing once per attention call serves every head.
+#[derive(Clone, Debug, Default)]
+pub struct KeyPanels {
+    keys: usize,
+    width: usize,
+    data: Vec<f32>,
+}
+
+impl KeyPanels {
+    /// Lays out every row of `k` as one key (reusing the allocation).
+    pub fn pack(&mut self, k: &Matrix) {
+        self.pack_block(k, 0, k.cols);
+    }
+
+    /// Lays out columns `lo..hi` of the rows of `k`.
+    fn pack_block(&mut self, k: &Matrix, lo: usize, hi: usize) {
+        assert!(lo <= hi && hi <= k.cols);
+        self.keys = k.rows;
+        self.width = hi - lo;
+        let panel = self.width * SK;
+        self.data.clear();
+        self.data.resize(k.rows.div_ceil(SK) * panel, 0.0);
+        for j in 0..k.rows {
+            let dst = &mut self.data[(j / SK) * panel..];
+            for (d, &v) in k.row(j)[lo..hi].iter().enumerate() {
+                dst[d * SK + j % SK] = v;
+            }
+        }
+    }
+
+    /// Dims `lo..lo + hd` of panel `p`, one `[f32; SK]` per dim.
+    fn panel(&self, p: usize, lo: usize, hd: usize) -> &[[f32; SK]] {
+        let start = p * self.width * SK + lo * SK;
+        self.data[start..start + hd * SK].as_chunks().0
+    }
+}
+
+/// One call of the tiled score kernel of
+/// [`Matrix::matmul_transposed_block_limited_into`]: columns
+/// `lo..lo + hd` of `q` against dims `key_lo..key_lo + hd` of `keys`,
+/// into a `limits.len() × keys` output.
+///
+/// Tiles of [`SQ`] query rows × [`SK`] keys. Each output keeps
+/// [`dot1`]'s arithmetic exactly: lane `t`'s accumulator runs the fused
+/// products of dims `t, t + 16, …` from `+0.0`, the lanes are summed into
+/// `+0.0` in lane order, then the unfused products of the dims past the
+/// last full 16-lane chunk, then the scale. A tile holds the 16 keys'
+/// lane-`t` accumulators side by side, so that order costs nothing, where
+/// the dot kernel ends every output with 16 dependent scalar adds.
+struct Scores<'a> {
+    q: &'a Matrix,
+    lo: usize,
+    hd: usize,
+    keys: &'a KeyPanels,
+    key_lo: usize,
+    limits: &'a [usize],
+    scale: f32,
+}
+
+/// Query rows `i..i + R` of a [`Scores`] call: packs the rows' values
+/// dim by dim into `panel`, runs key tiles up to the largest limit of the
+/// `R` rows (the last one stores only the keys below it), then writes each
+/// row's exact-zero tail, which also overwrites what the shared tiles
+/// computed past a smaller limit.
+fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32], out: &mut [f32]) {
+    let jn = job.keys.keys;
+    let (qt, _) = panel[..R * job.hd].as_chunks_mut::<R>();
+    for (d, qd) in qt.iter_mut().enumerate() {
+        *qd = std::array::from_fn(|r| job.q[(i + r, job.lo + d)]);
+    }
+    let lim = &job.limits[i..i + R];
+    let end = lim.iter().copied().max().unwrap_or(0);
+    for j in (0..end).step_by(SK) {
+        let s = score_tile::<R>(qt, job.keys.panel(j / SK, job.key_lo, job.hd));
+        let n = SK.min(end - j);
+        for (r, row) in s.iter().enumerate() {
+            for (o, &v) in out[(i + r) * jn + j..][..n].iter_mut().zip(row) {
+                *o = v * job.scale;
+            }
+        }
+    }
+    for (r, &l) in lim.iter().enumerate() {
+        out[(i + r) * jn + l..(i + r + 1) * jn].fill(0.0);
+    }
+}
+
+/// Unscaled dots of `R` query rows (`qt[d]` holds their dim `d`) with the
+/// [`SK`] keys of one panel (`kp[d]` holds their dim `d`), in [`dot1`]'s
+/// per-element order (see [`Scores`]).
+#[inline(always)]
+fn score_tile<const R: usize>(qt: &[[f32; R]], kp: &[[f32; SK]]) -> [[f32; SK]; R] {
+    let hd = qt.len().min(kp.len());
+    let full = hd - hd % LANES;
+    let mut s = [[0.0f32; SK]; R];
+    for t in 0..LANES {
+        let mut acc = [[0.0f32; SK]; R];
+        for d in (t..full).step_by(LANES) {
+            let (kv, qv) = (&kp[d], &qt[d]);
+            for r in 0..R {
+                for x in 0..SK {
+                    acc[r][x] = qv[r].mul_add(kv[x], acc[r][x]);
+                }
+            }
+        }
+        for r in 0..R {
+            for x in 0..SK {
+                s[r][x] += acc[r][x];
+            }
+        }
+    }
+    for d in full..hd {
+        let (kv, qv) = (&kp[d], &qt[d]);
+        for r in 0..R {
+            for x in 0..SK {
+                s[r][x] += qv[r] * kv[x];
+            }
+        }
+    }
+    s
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -1107,11 +1354,47 @@ mod tests {
         }
     }
 
+    /// Bitwise equality (`==` would equate `-0.0` and `+0.0`).
+    fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        for (n, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {n}: {x} vs {y}");
+        }
+    }
+
+    /// The GEMM's per-element contract in scalar form: `+0.0`, then
+    /// `acc = b.mul_add(a, acc)` over ascending `k`, skipping nothing.
+    fn spec_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            (0..a.cols()).fold(0.0f32, |acc, k| b[(k, j)].mul_add(a[(i, k)], acc))
+        })
+    }
+
+    /// `seeded` with `-0.0` at every fifth element and all-zero rows
+    /// `6..12` (a whole register tile) and `13` (part of one): the zero
+    /// skip must not change a bit.
+    fn seeded_with_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut a = seeded(rows, cols, seed);
+        for (n, v) in a.as_mut_slice().iter_mut().enumerate() {
+            if n % 5 == 0 {
+                *v = -0.0;
+            }
+        }
+        for r in (6..12).chain([13]).filter(|&r| r < rows) {
+            a.row_mut(r).fill(0.0);
+        }
+        a
+    }
+
     #[test]
     fn blocked_matmul_matches_reference_across_shapes() {
         // Rectangular, tile-edge, single-row, and empty shapes; the repo
         // convention is seeded loops, not proptest.
-        for (seed, (m, k, n)) in [
+        let mut shapes = vec![
             (1u64, (1usize, 1usize, 1usize)),
             (2, (1, 224, 64)),
             (3, (5, 7, 3)),
@@ -1120,10 +1403,20 @@ mod tests {
             (6, (4, 16, 16)),
             (7, (0, 8, 8)),
             (8, (8, 8, 0)),
-        ] {
-            let a = seeded(m, k, seed);
-            let b = seeded(k, n, seed ^ 0xABCD);
-            assert_close(&a.matmul(&b), &a.matmul_reference(&b), 2e-3);
+        ];
+        // Every remainder tile height against every column-tail shape.
+        for m in 1..=13 {
+            for n in [1, 7, 8, 31, 32, 33] {
+                shapes.push((100 + (m * 64 + n) as u64, (m, 19, n)));
+            }
+        }
+        for (seed, (m, k, n)) in shapes {
+            for a in [seeded(m, k, seed), seeded_with_zeros(m, k, seed)] {
+                let b = seeded(k, n, seed ^ 0xABCD);
+                let got = a.matmul(&b);
+                assert_close(&got, &a.matmul_reference(&b), 2e-3);
+                assert_bits(&got, &spec_matmul(&a, &b), &format!("{m}x{k}x{n}"));
+            }
         }
     }
 
@@ -1157,12 +1450,34 @@ mod tests {
                 b.row_mut(r).fill(0.0);
             }
         }
+        assert!(matches!(
+            pick_kset(a.density(), b.density(), 32),
+            KSet::List(_)
+        ));
         assert_close(&a.matmul(&b), &a.matmul_reference(&b), 1e-3);
+        assert_bits(&a.matmul(&b), &spec_matmul(&a, &b), "row-sparse rhs");
         // Mutating after a probe must invalidate it (correctness, not
         // just performance: a stale skip list would drop this row).
         let _ = a.matmul(&b);
         b.row_mut(1).fill(2.5);
         assert_close(&a.matmul(&b), &a.matmul_reference(&b), 1e-3);
+        assert_bits(&a.matmul(&b), &spec_matmul(&a, &b), "after mutation");
+        // A column-sparse lhs (compiled embeddings) skips its zero columns,
+        // on every remainder tile height.
+        for m in [1, 6, 13] {
+            let mut a = seeded_with_zeros(m, 32, 23);
+            for r in 0..m {
+                for c in (0..32).filter(|c| c % 3 != 0) {
+                    a[(r, c)] = 0.0;
+                }
+            }
+            let b = seeded(32, 40, 24);
+            assert!(matches!(
+                pick_kset(a.density(), b.density(), 32),
+                KSet::List(_)
+            ));
+            assert_bits(&a.matmul(&b), &spec_matmul(&a, &b), "column-sparse lhs");
+        }
     }
 
     #[test]
@@ -1176,31 +1491,89 @@ mod tests {
         q.matmul_transposed_block_into(&kmat, lo, hi, &mut scores);
         assert_close(&scores, &qh.matmul_transposed(&kh), 1e-4);
 
-        let p = seeded(7, 13, 33);
-        let mut ctx = Matrix::zeros(0, 0);
-        p.matmul_cols_into(&kmat, lo, hi, &mut ctx);
-        assert_close(&ctx, &p.matmul(&kh), 1e-4);
+        // The context product reads `rhs` at a column offset; causal
+        // zeros in `p` exercise the skip.
+        for (m, lo, hi) in [(7, 32, 64), (13, 5, 40), (6, 1, 9), (1, 95, 96)] {
+            let mut p = seeded(m, 13, 33 + lo as u64);
+            for i in 0..m {
+                for j in (i + 1).min(13)..13 {
+                    p[(i, j)] = 0.0;
+                }
+            }
+            let kh = kmat.col_block(lo, hi);
+            let mut ctx = Matrix::zeros(0, 0);
+            p.matmul_cols_into(&kmat, lo, hi, &mut ctx);
+            assert_close(&ctx, &p.matmul(&kh), 1e-4);
+            assert_bits(&ctx, &spec_matmul(&p, &kh), &format!("cols {lo}..{hi}"));
+        }
     }
 
     #[test]
     fn parallel_matmul_bit_identical_across_thread_counts() {
-        // Rows over the parallel threshold: row chunks are MR-aligned and
-        // each row's accumulation order is fixed, so every pool size must
-        // produce the same bytes.
+        // Rows over the parallel threshold: each element's accumulation
+        // order is fixed, so every pool size must produce the same bytes.
         let _guard = crate::pool::GLOBAL_POOL_TEST_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let a = seeded(130, 96, 91);
+        let a = seeded_with_zeros(130, 96, 91);
         let b = seeded(96, 48, 92);
         crate::pool::set_threads(1);
         let baseline = a.matmul(&b);
         for threads in 2..=4 {
             crate::pool::set_threads(threads);
             let got = a.matmul(&b);
-            assert_eq!(got, baseline, "thread count {threads} changed bits");
+            assert_bits(&got, &baseline, &format!("thread count {threads}"));
         }
         crate::pool::set_threads(1);
         assert_close(&baseline, &a.matmul_reference(&b), 2e-3);
+        assert_bits(&baseline, &spec_matmul(&a, &b), "against the spec");
+    }
+
+    #[test]
+    fn score_paths_match_dot1_bit_for_bit() {
+        // Both score kernels, on both sides of the row threshold, against
+        // `dot1 · scale` below each row's limit and exact 0.0 above it.
+        let _guard = crate::pool::GLOBAL_POOL_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let keys = 37; // two full key panels and a partial one
+        let scale = 0.37;
+        for hd in [16, 40, 64] {
+            let kmat = seeded(keys, 3 * hd, hd as u64);
+            let (lo, hi) = (hd, 2 * hd);
+            let mut panels = KeyPanels::default();
+            panels.pack(&kmat);
+            for rows in [1, 3, 15, 16, 23] {
+                let q = seeded_with_zeros(rows, 3 * hd, 7 * rows as u64);
+                // Causal, plus rows limited to nothing and to everything.
+                let limits: Vec<usize> = (0..rows)
+                    .map(|i| match i % 5 {
+                        3 => 0,
+                        4 => keys,
+                        _ => (keys - rows.min(keys) + i + 1).min(keys),
+                    })
+                    .collect();
+                let want = Matrix::from_fn(rows, keys, |i, j| {
+                    if j < limits[i] {
+                        dot1(&q.row(i)[lo..hi], &kmat.row(j)[lo..hi]) * scale
+                    } else {
+                        0.0
+                    }
+                });
+                for threads in 1..=4 {
+                    crate::pool::set_threads(threads);
+                    let what = format!("hd {hd}, {rows} rows, {threads} threads");
+                    let mut out = Matrix::zeros(0, 0);
+                    q.matmul_transposed_block_limited_into(&kmat, lo, hi, &limits, scale, &mut out);
+                    assert_bits(&out, &want, &format!("dispatch, {what}"));
+                    q.scores_dot_into(&kmat, lo, hi, &limits, scale, &mut out);
+                    assert_bits(&out, &want, &format!("dot, {what}"));
+                    q.matmul_key_panels_limited_into(&panels, lo, hi, &limits, scale, &mut out);
+                    assert_bits(&out, &want, &format!("tiled, {what}"));
+                }
+            }
+        }
+        crate::pool::set_threads(1);
     }
 
     #[test]
