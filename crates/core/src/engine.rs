@@ -42,7 +42,7 @@ use cb_kv::prefetch::PrefetchHandle;
 use cb_kv::serialize::{encode, DecodeError};
 use cb_kv::store::{KvStore, StoreError, TierConfig};
 use cb_kv::ChunkId;
-use cb_model::{Model, ModelConfig, ModelProfile};
+use cb_model::{KvCache, Model, ModelConfig, ModelProfile};
 use cb_storage::backend::{MemBackend, StorageBackend, Throttle};
 use cb_storage::device::DeviceKind;
 use cb_storage::disk::DiskBackend;
@@ -53,7 +53,7 @@ use parking_lot::Mutex;
 
 use crate::controller::LoadingController;
 use crate::fusor::{BlendConfig, BlendResult};
-use crate::pipeline::blend_prefetched;
+use crate::pipeline::{blend_prefetched_pooled, LayerPool};
 use crate::scheduler::{EngineService, ServiceConfig};
 use crate::stream::Event;
 
@@ -778,6 +778,9 @@ impl EngineBuilder {
             .map(|p| LoadingController::new(PerfModel::on_a40(p)));
         Ok(Engine {
             core: Arc::new(EngineCore {
+                // One request's layers until a service says how many can
+                // be in flight (`EngineService::new`).
+                layers: LayerPool::new(model.n_layers()),
                 model,
                 store,
                 tier_devices,
@@ -812,6 +815,9 @@ struct EngineCore {
     emulate_load_delay: bool,
     /// Registered chunk tokens, for precompute-on-miss after LRU eviction.
     registry: Mutex<HashMap<ChunkId, Vec<TokenId>>>,
+    /// Free list of fused-cache layers: blends take from it,
+    /// [`Engine::recycle`] gives back.
+    layers: LayerPool,
 }
 
 impl Engine {
@@ -878,6 +884,20 @@ impl Engine {
     /// Blocks until every storage backend's write-behind queue is durable.
     pub fn flush_storage(&self) -> Result<(), EngineError> {
         self.core.store.flush().map_err(EngineError::from)
+    }
+
+    /// Hands back a fused cache nobody will read again — a finished
+    /// [`Response`]'s `blend.cache`: its layers return to the free list
+    /// the next blends build their fused caches in, up to the list's
+    /// bound. Without this the cache is simply freed, and the next
+    /// request allocates (and faults in) a fresh one.
+    pub fn recycle(&self, cache: KvCache) {
+        self.core.layers.put(cache.layers);
+    }
+
+    /// The free list of fused-cache layers (see [`Engine::recycle`]).
+    pub(crate) fn layer_pool(&self) -> &LayerPool {
+        &self.core.layers
     }
 }
 
@@ -1027,7 +1047,15 @@ impl EngineCore {
         };
 
         let blend_span = cb_obs::trace::Span::begin("prefill.blend");
-        let out = blend_prefetched(&self.model, cfg, parts, &request.query, throttle)?;
+        let out = blend_prefetched_pooled(
+            &self.model,
+            cfg,
+            parts,
+            &request.query,
+            throttle,
+            &self.layers,
+            request.max_new_tokens,
+        )?;
         blend_span.end();
 
         // Prefill is complete — the next computed row is the first answer
@@ -1450,6 +1478,30 @@ mod tests {
             cold_resp.ttft.modeled_ttft_s.unwrap(),
         );
         assert!(c > w, "cold modeled TTFT {c} must exceed warm {w}");
+    }
+
+    #[test]
+    fn recycled_layers_are_kept_up_to_what_can_be_in_flight() {
+        // A bare engine keeps one request's layers; a service raises the
+        // bound to (workers + batch slots) requests' worth and no knob
+        // exists. Recycling past the bound leaves the pool at the bound.
+        let e = engine();
+        let (n, width) = (e.model().n_layers(), e.model().cfg.kv_width());
+        let dead = || KvCache::empty(n, width);
+        assert_eq!(e.layer_pool().bound(), n);
+        for _ in 0..3 {
+            e.recycle(dead());
+        }
+        assert_eq!(e.layer_pool().len(), n);
+        let _service = EngineService::new(
+            e.clone(),
+            ServiceConfig::default().workers(2).decode_batch(4),
+        );
+        assert_eq!(e.layer_pool().bound(), 6 * n);
+        for _ in 0..10 {
+            e.recycle(dead());
+        }
+        assert_eq!(e.layer_pool().len(), 6 * n);
     }
 
     #[test]

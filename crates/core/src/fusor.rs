@@ -19,8 +19,11 @@
 //! The suffix (the user query) is never cached and always recomputed; its
 //! per-layer attention can be traced for the Δattn metric.
 
+use std::cell::RefCell;
+use std::convert::Infallible;
+
 use cb_model::model::ForwardTrace;
-use cb_model::{KvCache, Model, Scratch};
+use cb_model::{KvCache, LayerKv, Model, Scratch};
 use cb_tensor::ops::top_k_indices;
 use cb_tensor::Matrix;
 use cb_tokenizer::TokenId;
@@ -30,14 +33,13 @@ use rand::SeedableRng;
 use crate::deviation::row_deviation;
 use crate::rope_align;
 
-/// Reusable buffers for the fusor's per-layer HKVD
-/// gather → recompute → scatter loop. One arena serves a whole blend (and
-/// can be reused across blends): the per-layer QKV projections, deviation
-/// scores, gathered K/V rows, the shrinking residual, and the attention
-/// scratch all live here, so the steady-state layer loop performs no heap
-/// allocation beyond the fused caches it must hand back.
+/// Buffers for the fusor's per-layer HKVD gather → recompute → scatter
+/// loop: the per-layer QKV projections, deviation scores, gathered K/V
+/// rows, the shrinking residual, and the attention scratch. Every blend
+/// runs on its thread's arena (`SCRATCH`), so a serving thread grows
+/// these buffers once to its largest request and reuses them after that.
 #[derive(Debug, Default)]
-pub struct BlendScratch {
+struct BlendScratch {
     /// Forward-pass buffers (QKV, attention, MLP).
     fwd: Scratch,
     /// Residual rows of the surviving tokens.
@@ -72,11 +74,71 @@ pub struct BlendScratch {
     all_tokens: Vec<TokenId>,
 }
 
-impl BlendScratch {
-    /// A fresh (empty) arena.
-    pub fn new() -> Self {
-        Self::default()
+thread_local! {
+    /// This thread's blend arena. It lives as long as the thread, so the
+    /// buffers of an `EngineService` worker (or any thread that calls
+    /// `Engine::submit` repeatedly) are allocated and faulted in once,
+    /// not per request.
+    static SCRATCH: RefCell<BlendScratch> = RefCell::default();
+}
+
+/// Overwrites every element of this thread's blend arena — f32 buffers
+/// with NaN, indices and positions with `usize::MAX` — so a later blend
+/// that read any of it before writing it would either panic or carry
+/// the NaN into its output. (A `Vec`'s spare capacity cannot be read,
+/// so the elements up to each buffer's length are all there is.)
+#[cfg(test)]
+pub(crate) fn poison_thread_scratch() {
+    fn nan(ms: &mut [&mut Matrix]) {
+        for m in ms {
+            m.as_mut_slice().fill(f32::NAN);
+        }
     }
+    SCRATCH.with_borrow_mut(|sc| {
+        nan(&mut [
+            &mut sc.x,
+            &mut sc.x_new,
+            &mut sc.k_sel,
+            &mut sc.v_sel,
+            &mut sc.q_act,
+        ]);
+        sc.dev.fill(f32::NAN);
+        for v in [
+            &mut sc.keep,
+            &mut sc.cache_rows,
+            &mut sc.active,
+            &mut sc.row_ids,
+            &mut sc.row_ids_new,
+            &mut sc.x_pos,
+            &mut sc.act_pos,
+            &mut sc.k_pos,
+        ] {
+            v.fill(usize::MAX);
+        }
+        sc.all_tokens.fill(TokenId::MAX);
+        let f = &mut sc.fwd;
+        let keys = Matrix::from_fn(f.k.rows(), f.k.cols(), |_, _| f32::NAN);
+        nan(&mut [
+            &mut f.x,
+            &mut f.fused,
+            &mut f.q,
+            &mut f.k,
+            &mut f.v,
+            &mut f.delta,
+            &mut f.h1,
+            &mut f.h2,
+            &mut f.mlp_out,
+            &mut f.logits_in,
+            &mut f.logits,
+        ]);
+        f.k_pos.fill(usize::MAX);
+        for h in &mut f.attend.heads {
+            nan(&mut [&mut h.scores, &mut h.ctx, &mut h.delta]);
+        }
+        f.attend.k_pos_f32.fill(f32::NAN);
+        f.attend.cuts.fill(usize::MAX);
+        f.attend.keys.pack(&keys);
+    });
 }
 
 /// How HKVD tokens are chosen on each layer.
@@ -228,79 +290,60 @@ impl<'m> Fusor<'m> {
             positions,
             tokens,
         } = ctx;
-        self.blend_streamed(
+        let Ok(result) = self.try_blend_streamed::<Infallible>(
             &positions,
             &tokens,
-            |l| std::mem::replace(&mut layers[l], cb_model::LayerKv::empty(0)),
+            |l| Ok(std::mem::replace(&mut layers[l], LayerKv::empty(0))),
             suffix,
             want_trace,
-        )
+        );
+        result
     }
 
     /// Runs selective recompute with context layers pulled one at a time
     /// from `next_layer` — the streaming entry point used by the pipelined
     /// loader (`next_layer(l)` is the §6 `synchronize()` point: it blocks
-    /// until layer `l` has been fetched into memory).
-    pub fn blend_streamed(
+    /// until layer `l` has been fetched into memory). The layer source is
+    /// *fallible*: the storage-backed loader can fail mid-stream (a disk
+    /// read error or a layer block failing its checksum), and the error
+    /// must abort the blend cleanly instead of handing poisoned KV to the
+    /// decoder.
+    ///
+    /// The suffix rows are appended to the layers `next_layer` returns,
+    /// which become the fused cache: layers with spare capacity for them
+    /// are not reallocated.
+    pub fn try_blend_streamed<E>(
         &self,
         ctx_positions: &[usize],
         ctx_tokens: &[TokenId],
-        next_layer: impl FnMut(usize) -> cb_model::LayerKv,
+        next_layer: impl FnMut(usize) -> Result<LayerKv, E>,
         suffix: &[TokenId],
         want_trace: bool,
-    ) -> BlendResult {
-        let mut scratch = BlendScratch::new();
-        self.blend_streamed_scratch(
+    ) -> Result<BlendResult, E> {
+        // Taken out for the blend and put back after it, so a blend nested
+        // inside `next_layer` would run on a fresh arena instead of
+        // panicking on the borrow. A panicking blend drops the arena.
+        let mut sc = SCRATCH.take();
+        let result = self.blend_on(
+            &mut sc,
             ctx_positions,
             ctx_tokens,
             next_layer,
             suffix,
             want_trace,
-            &mut scratch,
-        )
+        );
+        SCRATCH.set(sc);
+        result
     }
 
-    /// [`Fusor::blend_streamed`] on a caller-provided [`BlendScratch`]:
-    /// the per-layer gather/recompute/scatter reuses the arena's buffers,
-    /// so a warm blend allocates only the fused cache it returns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blend_streamed_scratch(
+    fn blend_on<E>(
         &self,
+        sc: &mut BlendScratch,
         ctx_positions: &[usize],
         ctx_tokens: &[TokenId],
-        mut next_layer: impl FnMut(usize) -> cb_model::LayerKv,
+        mut next_layer: impl FnMut(usize) -> Result<LayerKv, E>,
         suffix: &[TokenId],
         want_trace: bool,
-        sc: &mut BlendScratch,
-    ) -> BlendResult {
-        let result: Result<BlendResult, std::convert::Infallible> = self
-            .try_blend_streamed_scratch(
-                ctx_positions,
-                ctx_tokens,
-                |l| Ok(next_layer(l)),
-                suffix,
-                want_trace,
-                sc,
-            );
-        match result {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
-    }
-
-    /// [`Fusor::blend_streamed_scratch`] with a *fallible* layer source —
-    /// the storage-backed loader can fail mid-stream (a disk read error or
-    /// a layer block failing its checksum), and the error must abort the
-    /// blend cleanly instead of handing poisoned KV to the decoder.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_blend_streamed_scratch<E>(
-        &self,
-        ctx_positions: &[usize],
-        ctx_tokens: &[TokenId],
-        mut next_layer: impl FnMut(usize) -> Result<cb_model::LayerKv, E>,
-        suffix: &[TokenId],
-        want_trace: bool,
-        sc: &mut BlendScratch,
     ) -> Result<BlendResult, E> {
         assert!(!suffix.is_empty(), "blend needs a non-empty suffix (query)");
         let model = self.model;
@@ -330,7 +373,7 @@ impl<'m> Fusor<'m> {
             ..BlendStats::default()
         };
 
-        let mut done_layers: Vec<cb_model::LayerKv> = Vec::with_capacity(n_layers);
+        let mut done_layers: Vec<LayerKv> = Vec::with_capacity(n_layers);
         for layer in 0..n_layers {
             // §6 synchronize(): block until this layer's KV is in memory.
             let mut lkv = next_layer(layer)?;

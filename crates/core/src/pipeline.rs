@@ -11,7 +11,13 @@
 //!
 //! An optional per-layer throttle emulates a storage device's read time for
 //! tests/benches that demonstrate the overlap.
+//!
+//! The loader builds each fused layer in a buffer drawn from a
+//! [`LayerPool`], the bounded free list an engine keeps so that serving a
+//! request does not allocate (and fault in) a fresh fused cache.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -19,11 +25,98 @@ use cb_kv::prefetch::PrefetchHandle;
 use cb_kv::serialize::DecodeError;
 use cb_kv::store::StoreError;
 use cb_model::{LayerKv, Model};
+use cb_obs::metrics::{Counter, Gauge, Registry};
 use cb_tokenizer::TokenId;
 use crossbeam::channel::bounded;
+use parking_lot::Mutex;
 
-use crate::fusor::{BlendConfig, BlendResult, BlendScratch, Fusor};
+use crate::fusor::{BlendConfig, BlendResult, Fusor};
 use crate::rope_align;
+
+/// A bounded free list of fused-cache layers.
+///
+/// [`blend_prefetched_pooled`] takes the layers it fuses into from here;
+/// whoever ends up holding a fused cache that nobody will read again hands
+/// its layers back with [`LayerPool::put`] (`Engine::recycle`). The pool
+/// keeps at most [`LayerPool::bound`] layers and frees the rest.
+/// `cb_layer_pool_misses_total` counts the layers [`LayerPool::take`] had
+/// to allocate because the list was empty; `cb_layer_pool_layers` is the
+/// list's length.
+#[derive(Debug)]
+pub(crate) struct LayerPool {
+    free: Mutex<Vec<LayerKv>>,
+    bound: AtomicUsize,
+}
+
+fn pool_obs() -> &'static (Arc<Counter>, Arc<Gauge>) {
+    static OBS: OnceLock<(Arc<Counter>, Arc<Gauge>)> = OnceLock::new();
+    OBS.get_or_init(|| {
+        let r = Registry::global();
+        (
+            r.counter("cb_layer_pool_misses_total"),
+            r.gauge("cb_layer_pool_layers"),
+        )
+    })
+}
+
+impl LayerPool {
+    /// An empty pool that keeps at most `bound` layers (`0`: keeps none,
+    /// every [`LayerPool::take`] allocates).
+    pub(crate) fn new(bound: usize) -> Self {
+        Self {
+            free: Mutex::new(Vec::new()),
+            bound: AtomicUsize::new(bound),
+        }
+    }
+
+    /// Most layers the pool keeps.
+    pub(crate) fn bound(&self) -> usize {
+        self.bound.load(Ordering::Relaxed)
+    }
+
+    /// Raises the bound to at least `bound`; it never shrinks.
+    pub(crate) fn raise_bound(&self, bound: usize) {
+        self.bound.fetch_max(bound, Ordering::Relaxed);
+    }
+
+    /// Layers currently pooled.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.free.lock().len()
+    }
+
+    /// An empty `kv_width`-wide layer with capacity for `rows` rows: a
+    /// pooled one if there is one, else a fresh allocation.
+    pub(crate) fn take(&self, kv_width: usize, rows: usize) -> LayerKv {
+        let (misses, pooled) = pool_obs();
+        let mut layer = {
+            let mut free = self.free.lock();
+            let layer = free.pop();
+            pooled.set(free.len() as f64);
+            layer
+        }
+        .unwrap_or_else(|| {
+            misses.inc();
+            LayerKv::empty(kv_width)
+        });
+        layer.clear(kv_width);
+        layer.reserve(rows);
+        layer
+    }
+
+    /// Returns layers to the pool; those past the bound are freed.
+    pub(crate) fn put(&self, layers: impl IntoIterator<Item = LayerKv>) {
+        let mut layers = layers.into_iter();
+        let bound = self.bound();
+        let mut free = self.free.lock();
+        let room = bound.saturating_sub(free.len());
+        free.extend(layers.by_ref().take(room));
+        pool_obs().1.set(free.len() as f64);
+        drop(free);
+        // What did not fit is freed here, outside the lock.
+        drop(layers);
+    }
+}
 
 /// Timing evidence from a pipelined blend.
 #[derive(Clone, Copy, Debug, Default)]
@@ -88,9 +181,37 @@ pub fn blend_pipelined(
 pub fn blend_prefetched(
     model: &Model,
     cfg: BlendConfig,
+    handles: Vec<PrefetchHandle>,
+    suffix: &[TokenId],
+    extra_throttle: Option<Duration>,
+) -> Result<PipelineOutput, StoreError> {
+    blend_prefetched_pooled(
+        model,
+        cfg,
+        handles,
+        suffix,
+        extra_throttle,
+        &LayerPool::new(0),
+        0,
+    )
+}
+
+/// [`blend_prefetched`] with its fused layers taken from `pool`, each
+/// with capacity for the context, the suffix and `decode_rows` decoded
+/// tokens — so neither the fusor's suffix append nor a decode of up to
+/// `decode_rows` tokens reallocates it.
+///
+/// # Errors
+///
+/// As [`blend_prefetched`].
+pub(crate) fn blend_prefetched_pooled(
+    model: &Model,
+    cfg: BlendConfig,
     mut handles: Vec<PrefetchHandle>,
     suffix: &[TokenId],
     extra_throttle: Option<Duration>,
+    pool: &LayerPool,
+    decode_rows: usize,
 ) -> Result<PipelineOutput, StoreError> {
     // Header phase: wait for every entry's metadata (disk headers were
     // requested when the handles were issued, so these waits overlap).
@@ -115,11 +236,13 @@ pub fn blend_prefetched(
 
     let n_layers = model.n_layers();
     let start = Instant::now();
-    let (tx, rx) = bounded::<Result<LayerKv, StoreError>>(2);
-
     let width = model.cfg.kv_width();
-    let total_rows = 1 + rows_per_chunk.iter().map(|&(r, _)| r).sum::<usize>();
-    let (result, loader_busy) = std::thread::scope(|scope| {
+    let fused_rows = cursor + suffix.len() + decode_rows;
+    let (result, wait, loader_busy) = std::thread::scope(|scope| {
+        // Created inside the scope so that a panicking fusor drops `rx`
+        // while it unwinds: the loader's next send then fails and it
+        // exits, instead of blocking the scope's join forever.
+        let (tx, rx) = bounded::<Result<LayerKv, StoreError>>(2);
         let handles = &mut handles;
         let loader = scope.spawn(move || {
             let busy_start = Instant::now();
@@ -127,8 +250,7 @@ pub fn blend_prefetched(
             // BOS layer KV is shared by reference.
             let mut chunk_buf = LayerKv::empty(width);
             'layers: for layer in 0..n_layers {
-                let mut merged = LayerKv::empty(width);
-                merged.reserve(total_rows);
+                let mut merged = pool.take(width, fused_rows);
                 merged.append(&bos.layers[layer].k, &bos.layers[layer].v);
                 for ((h, &off), &(_, first_pos)) in handles
                     .iter_mut()
@@ -158,8 +280,7 @@ pub fn blend_prefetched(
 
         let mut wait = Duration::ZERO;
         let fusor = Fusor::new(model, cfg);
-        let mut scratch = BlendScratch::new();
-        let result = fusor.try_blend_streamed_scratch(
+        let result = fusor.try_blend_streamed(
             &positions,
             &tokens,
             |_l| {
@@ -172,17 +293,12 @@ pub fn blend_prefetched(
             },
             suffix,
             false,
-            &mut scratch,
         );
-        let loader_busy = loader.join().expect("loader panicked");
-        ((result, wait), loader_busy)
+        (result, wait, loader.join().expect("loader panicked"))
     });
-    let ((result, wait), loader_busy) = (result, loader_busy);
-    let mut result = result?;
-    result.stats.first_layer_deviations.shrink_to_fit();
 
     Ok(PipelineOutput {
-        result,
+        result: result?,
         report: PipelineReport {
             total: start.elapsed(),
             wait,
@@ -305,6 +421,18 @@ mod tests {
         bytes[0] = Bytes::from(raw);
         let err = blend_pipelined(&m, BlendConfig::default(), bytes, &q, None).unwrap_err();
         assert_eq!(err, DecodeError::Corrupted);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty suffix")]
+    fn a_panicking_fusor_does_not_strand_the_loader() {
+        // The fusor panics before taking a layer, so the loader fills the
+        // bounded channel (4 layers, room for 2). The panic must reach the
+        // caller instead of the scope's join waiting on a blocked send.
+        let m = model();
+        let (chunks, _, _) = scenario(&m);
+        let bytes = serialize_chunks(&m, &chunks);
+        let _ = blend_pipelined(&m, BlendConfig::default(), bytes, &[], None);
     }
 
     #[test]
@@ -447,6 +575,116 @@ mod tests {
             load_time
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `n` chunks of `rows` fact tokens and a query, drawn from `seed`.
+    fn random_case(
+        m: &Model,
+        seed: u64,
+        n: usize,
+        rows: usize,
+    ) -> (Vec<Vec<TokenId>>, Vec<TokenId>) {
+        use rand::{Rng, SeedableRng};
+        let v = &m.cfg.vocab;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let entity = |rng: &mut rand::rngs::SmallRng| Entity(rng.random_range(0..v.n_entities()));
+        let chunks = (0..n)
+            .map(|_| {
+                (0..rows)
+                    .map(|i| match i % 4 {
+                        0 => entity(&mut rng),
+                        1 => Attr(rng.random_range(0..v.n_attrs())),
+                        2 => Value(rng.random_range(0..v.n_values())),
+                        _ => Sep,
+                    })
+                    .map(|k| v.id(k))
+                    .collect()
+            })
+            .collect();
+        let query = [
+            Query,
+            entity(&mut rng),
+            Attr(rng.random_range(0..v.n_attrs())),
+            QMark,
+        ]
+        .map(|k| v.id(k))
+        .to_vec();
+        (chunks, query)
+    }
+
+    #[test]
+    fn recycled_scratch_and_layers_are_never_read_stale() {
+        // Property: after a warm-up blend, poison every element of the
+        // thread's blend arena and of every recycled layer with NaN, then
+        // blend a smaller and a larger context into those layers on the
+        // same thread. Fused K/V, final residual, selection and decoded
+        // tokens must equal, bit for bit, a blend on a fresh thread into
+        // freshly allocated layers.
+        const DECODE: usize = 4;
+        struct Served {
+            bits: Vec<u32>,
+            selected: Vec<usize>,
+            answer: Vec<TokenId>,
+            cache: KvCache,
+        }
+        for profile in [ModelProfile::Tiny, ModelProfile::Mistral7B] {
+            let m = Model::compiled(ModelConfig::standard(profile, 11));
+            let cases = [(3, 24, 1), (2, 12, 2), (6, 32, 3)]
+                .map(|(n, rows, seed)| random_case(&m, seed, n, rows));
+            let serve = |(chunks, query): &(Vec<Vec<TokenId>>, Vec<TokenId>), pool: &LayerPool| {
+                let handles = serialize_chunks(&m, chunks)
+                    .into_iter()
+                    .map(|b| PrefetchHandle::from_bytes(b, 0).unwrap())
+                    .collect();
+                let cfg = BlendConfig::default();
+                let mut out = blend_prefetched_pooled(&m, cfg, handles, query, None, pool, DECODE)
+                    .unwrap()
+                    .result;
+                let bits = (out.cache.layers.iter())
+                    .flat_map(|l| [&l.k, &l.v])
+                    .flat_map(|mat| mat.as_slice())
+                    .chain(&out.last_residual)
+                    .map(|x| x.to_bits())
+                    .collect();
+                let answer = m.decode_greedy(&mut out.cache, &out.last_residual, DECODE);
+                Served {
+                    bits,
+                    selected: out.stats.selected_per_layer,
+                    answer,
+                    cache: out.cache,
+                }
+            };
+            for threads in [1, 2] {
+                cb_tensor::pool::set_threads(threads);
+                let fresh: Vec<Served> = std::thread::scope(|s| {
+                    (cases[1..].iter())
+                        .map(|c| s.spawn(|| serve(c, &LayerPool::new(0))).join().unwrap())
+                        .collect()
+                });
+                let layers = LayerPool::new(m.n_layers());
+                let mut dead = serve(&cases[0], &layers).cache;
+                for (case, want) in cases[1..].iter().zip(&fresh) {
+                    for l in &mut dead.layers {
+                        l.k.as_mut_slice().fill(f32::NAN);
+                        l.v.as_mut_slice().fill(f32::NAN);
+                    }
+                    layers.put(dead.layers);
+                    assert_eq!(layers.len(), m.n_layers());
+                    crate::fusor::poison_thread_scratch();
+                    let got = serve(case, &layers);
+                    assert_eq!(layers.len(), 0, "every layer came from the pool");
+                    let what = format!("{profile:?} at pool size {threads}");
+                    assert!(
+                        got.bits == want.bits,
+                        "{what}: fused K/V or residual differ"
+                    );
+                    assert_eq!(got.selected, want.selected, "{what}");
+                    assert_eq!(got.answer, want.answer, "{what}");
+                    dead = got.cache;
+                }
+            }
+        }
+        cb_tensor::pool::set_threads(cb_tensor::pool::default_threads());
     }
 
     #[test]

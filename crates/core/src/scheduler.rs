@@ -382,6 +382,12 @@ impl EngineService {
     /// With [`ServiceConfig::decode_batch`] ≥ 2 a decoder thread is also
     /// spawned; workers then prefill and hand sequences to it.
     pub fn new(engine: Engine, cfg: ServiceConfig) -> Self {
+        // At most one request per worker and one per batch slot holds a
+        // fused cache, so that many caches' layers are worth keeping for
+        // reuse (`Engine::recycle`); more could only sit idle.
+        engine
+            .layer_pool()
+            .raise_bound((cfg.workers + cfg.decode_batch) * engine.model().n_layers());
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 queue: LaneQueue::new(cfg.queue_capacity.max(1), cfg.fair_burst.max(1)),
@@ -1307,6 +1313,36 @@ mod tests {
         let p = bat.probe();
         assert_eq!(p.inflight, 0);
         assert_eq!(p.load(), 0);
+    }
+
+    #[test]
+    fn a_fused_cache_decodes_in_the_buffers_the_blend_reserved() {
+        // The fused cache comes out of the blend with room for the answer,
+        // so the decoder's admit (its `reserve`) and every decode step
+        // append in place: the layers retire in the buffers they were
+        // blended into.
+        let s = batched_service(1, 4, 4);
+        let engine = s.engine();
+        let (request, want) = fact_requests(&s, 1).remove(0);
+        let k_bufs = |c: &KvCache| -> Vec<*const f32> {
+            c.layers.iter().map(|l| l.k.as_slice().as_ptr()).collect()
+        };
+        let prefilled = engine.prefill_streaming(&request, &mut |_| {}).unwrap();
+        let blended = k_bufs(&prefilled.blend.cache);
+        let mut batch = DecodeBatch::new();
+        batch.admit(
+            engine.model(),
+            prefilled.blend.cache,
+            &prefilled.blend.last_residual,
+            prefilled.max_new_tokens,
+        );
+        let fin = loop {
+            if let Some((_, fin)) = batch.step(engine.model(), &mut |_, _| {}).pop() {
+                break fin;
+            }
+        };
+        assert_eq!(fin.tokens, vec![want]);
+        assert_eq!(k_bufs(&fin.cache), blended);
     }
 
     #[test]

@@ -27,6 +27,13 @@ impl LayerKv {
         }
     }
 
+    /// Empties the layer to zero rows of `kv_width`, keeping the capacity
+    /// of both buffers (a recycled layer starts here).
+    pub fn clear(&mut self, kv_width: usize) {
+        self.k.zero_resize(0, kv_width);
+        self.v.zero_resize(0, kv_width);
+    }
+
     /// Number of cached tokens.
     pub fn len(&self) -> usize {
         self.k.rows()

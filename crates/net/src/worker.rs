@@ -13,7 +13,9 @@
 //!   signal. Tests pause it ([`Worker::pause_heartbeats`]) to simulate a
 //!   partition without killing the worker;
 //! - each admitted request gets a **forwarder** thread that drains its
-//!   [`ResponseStream`] and ships every event back as an `Ev` frame. A
+//!   [`ResponseStream`] and ships every event back as an `Ev` frame, then
+//!   hands a `Done`'s fused cache, which the frame does not carry, back
+//!   to the engine (`Engine::recycle`). A
 //!   stream that closes without a terminal event (service shutdown)
 //!   synthesizes `Failed(Canceled)` so the gateway's pending entry always
 //!   resolves.
@@ -22,7 +24,7 @@ use crate::message::{Message, WireEvent, WireFailure};
 use crate::transport::{NetError, Transport};
 use cb_core::engine::EngineError;
 use cb_core::scheduler::{EngineService, TrySubmitError};
-use cb_core::stream::ResponseStream;
+use cb_core::stream::{Event, ResponseStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -164,7 +166,13 @@ impl WorkerInner {
                 trace,
                 event: WireEvent::from_event(&ev),
             };
-            if self.conn.send(&msg).is_err() {
+            let sent = self.conn.send(&msg);
+            if let Event::Done(resp) = ev {
+                // The fused cache never crosses the wire: once the frame
+                // is encoded its layers go back to the engine's free list.
+                self.service.engine().recycle(resp.blend.cache);
+            }
+            if sent.is_err() {
                 return; // Gateway gone; the engine still finishes locally.
             }
         }
