@@ -14,19 +14,20 @@
 //!    the serialized entry on the tiered [`KvStore`].
 //! 3. [`Engine::submit`] serves one [`Request`]: look each chunk up in the
 //!    store (re-precomputing entries the LRU evicted), pick the recompute
-//!    ratio, stream the entries through [`blend_pipelined`], decode, and
+//!    ratio, stream the entries' layers through the
+//!    [`pipeline`](crate::pipeline)'s `blend_prefetched_pooled` (load
+//!    overlapped with selective recompute, the fused cache built in pooled
+//!    layers), decode, and
 //!    return a [`Response`] with the answer, the [`BlendResult`] stats, and
 //!    a [`TtftBreakdown`]. [`Engine::submit_streaming`] is the same
 //!    lifecycle with per-phase [`Event`]s emitted as they happen
 //!    ([`Event::FirstToken`] when prefill completes, [`Event::Token`] per
 //!    decoded token).
-//! 4. Continuous serving goes through the
-//!    [`EngineService`](crate::scheduler::EngineService) scheduler, which
-//!    owns a worker pool and an admission queue over a shared [`Engine`]
-//!    handle — [`Engine`] is a cheap clone ([`Arc`] inside) and `Sync`; the
-//!    store serializes itself internally. [`Engine::submit_many`] is a
-//!    compatibility wrapper that routes a batch through an ephemeral
-//!    service.
+//! 4. Concurrent and continuous serving — one request or a whole batch —
+//!    goes through the [`EngineService`](crate::scheduler::EngineService)
+//!    scheduler, which owns a worker pool and an admission queue over a
+//!    shared [`Engine`] handle — [`Engine`] is a cheap clone ([`Arc`]
+//!    inside) and `Sync`; the store serializes itself internally.
 //!
 //! [`EngineError`] unifies the error surfaces ([`DecodeError`],
 //! [`StoreError`], unknown ids, empty inputs) that previously leaked from
@@ -45,7 +46,6 @@ use cb_kv::ChunkId;
 use cb_model::{KvCache, Model, ModelConfig, ModelProfile};
 use cb_storage::backend::{MemBackend, StorageBackend, Throttle};
 use cb_storage::device::DeviceKind;
-use cb_storage::disk::DiskBackend;
 use cb_storage::perf::{PaperModel, PerfModel};
 use cb_storage::segment_log::SegmentLogBackend;
 use cb_tokenizer::TokenId;
@@ -54,7 +54,6 @@ use parking_lot::Mutex;
 use crate::controller::LoadingController;
 use crate::fusor::{BlendConfig, BlendResult};
 use crate::pipeline::{blend_prefetched_pooled, LayerPool};
-use crate::scheduler::{EngineService, ServiceConfig};
 use crate::stream::Event;
 
 /// Stable wire identity of an [`EngineError`] variant. Service
@@ -433,19 +432,6 @@ pub struct Response {
     pub chunk_sources: Vec<ChunkSource>,
 }
 
-/// On-disk layout of a persistent store tier.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DiskLayout {
-    /// One segment file per chunk ([`DiskBackend`], the reference
-    /// layout): simple, but every entry costs a file open.
-    #[default]
-    FilePerChunk,
-    /// Packed append-only segment logs with group commit and background
-    /// compaction ([`SegmentLogBackend`]): thousands of chunks share a
-    /// few files, cutting per-entry syscalls and metadata churn.
-    PackedLog,
-}
-
 /// One tier of an engine's [`StorageConfig`], fastest first.
 #[derive(Clone, Debug)]
 pub enum TierSpec {
@@ -457,26 +443,24 @@ pub enum TierSpec {
         /// Capacity in bytes.
         capacity: u64,
     },
-    /// A persistent disk tier: file-per-chunk segments under `dir`,
-    /// surviving process restart. With `throttle` set, reads sleep
-    /// according to the device's bandwidth/latency spec — the §5.2 device
-    /// grid emulated with real I/O plus real delays.
+    /// A persistent disk tier: append-only segment logs under `dir`
+    /// ([`SegmentLogBackend`]), surviving process restart. With `throttle`
+    /// set, reads sleep according to the device's bandwidth/latency spec —
+    /// the §5.2 device grid emulated with real I/O plus real delays.
     Disk {
         /// Device whose spec names and (optionally) throttles the tier.
         device: DeviceKind,
         /// Capacity in bytes.
         capacity: u64,
-        /// Cache directory holding the segment files.
+        /// Cache directory holding the log files.
         dir: PathBuf,
         /// Emulate the device's read speed with real sleeps.
         throttle: bool,
         /// Other live engines use the same `dir` (cluster replicas over
-        /// one persistent tier): entries they persist are discovered on
-        /// demand, promotion copies instead of moving, and temp files
-        /// never collide. See [`DiskBackend::open_shared`].
+        /// one persistent tier): each appends to its own log series,
+        /// entries they persist are discovered on demand, and promotion
+        /// copies instead of moving. See [`SegmentLogBackend::open_shared`].
         shared: bool,
-        /// How entries are laid out on disk.
-        layout: DiskLayout,
         /// Store entries int8-quantized (a *cold* tier, ~4× smaller on
         /// disk; transcoded at the tier boundary — see
         /// [`cb_kv::store::TierConfig::quantized`]).
@@ -547,19 +531,15 @@ impl StorageConfig {
             dir: dir.into(),
             throttle,
             shared: false,
-            layout: DiskLayout::default(),
             quantized: false,
         });
         self
     }
 
-    /// Switches the most recently appended disk tier to the packed
-    /// segment-log layout ([`DiskLayout::PackedLog`]). No-op on a RAM
-    /// tier.
-    pub fn packed_log(mut self) -> Self {
-        if let Some(TierSpec::Disk { layout, .. }) = self.tiers.last_mut() {
-            *layout = DiskLayout::PackedLog;
-        }
+    /// Identity: every disk tier is a segment log. Kept only because
+    /// existing benchmark code still calls it.
+    #[doc(hidden)]
+    pub fn packed_log(self) -> Self {
         self
     }
 
@@ -573,19 +553,17 @@ impl StorageConfig {
         self
     }
 
-    /// Appends the full cold tier in one call: packed segment-log layout
-    /// plus int8 quantization — the archival bottom of a RAM → disk →
-    /// cold hierarchy.
+    /// Appends the full cold tier in one call: a disk tier with int8
+    /// quantization — the archival bottom of a RAM → disk → cold
+    /// hierarchy.
     pub fn cold_tier(self, device: DeviceKind, capacity: u64, dir: impl Into<PathBuf>) -> Self {
-        self.disk_tier(device, capacity, dir)
-            .packed_log()
-            .quantized()
+        self.disk_tier(device, capacity, dir).quantized()
     }
 
-    /// Appends a persistent disk tier whose segment dir is *shared* with
-    /// other live engines (cluster replicas all backed by one persistent
-    /// tier). Entries persisted by any sibling are servable by every
-    /// engine over the dir.
+    /// Appends a persistent disk tier whose log dir is *shared* with other
+    /// live engines (cluster replicas all backed by one persistent tier).
+    /// Entries persisted by any sibling are servable by every engine over
+    /// the dir.
     pub fn shared_disk_tier(
         mut self,
         device: DeviceKind,
@@ -599,7 +577,6 @@ impl StorageConfig {
             dir: dir.into(),
             throttle,
             shared: true,
-            layout: DiskLayout::default(),
             quantized: false,
         });
         self
@@ -741,30 +718,15 @@ impl EngineBuilder {
                     dir,
                     throttle,
                     shared,
-                    layout,
                     ..
                 } => {
                     let throttle = throttle.then(|| Throttle::device(device));
-                    let storage_err =
-                        |e: cb_storage::BackendError| EngineError::Storage(e.to_string());
-                    match layout {
-                        DiskLayout::FilePerChunk => {
-                            let backend = if shared {
-                                DiskBackend::open_shared(dir, throttle)
-                            } else {
-                                DiskBackend::new(dir, throttle)
-                            };
-                            Arc::new(backend.map_err(storage_err)?)
-                        }
-                        DiskLayout::PackedLog => {
-                            let backend = if shared {
-                                SegmentLogBackend::open_shared(dir, throttle)
-                            } else {
-                                SegmentLogBackend::new(dir, throttle)
-                            };
-                            Arc::new(backend.map_err(storage_err)?)
-                        }
-                    }
+                    let backend = if shared {
+                        SegmentLogBackend::open_shared(dir, throttle)
+                    } else {
+                        SegmentLogBackend::new(dir, throttle)
+                    };
+                    Arc::new(backend.map_err(|e| EngineError::Storage(e.to_string()))?)
                 }
             };
             tiers.push((cfg, backend));
@@ -1175,42 +1137,6 @@ impl Engine {
     ) -> Result<Response, EngineError> {
         self.core.submit_streaming(request, emit)
     }
-
-    /// Serves a batch concurrently, returning per-request results in input
-    /// order.
-    ///
-    /// Compatibility wrapper over the streaming scheduler: the batch is
-    /// routed through an ephemeral
-    /// [`EngineService`](crate::scheduler::EngineService) sized to the
-    /// batch (so batch serving and continuous serving exercise one code
-    /// path). Deployments serving an ongoing request stream should hold a
-    /// long-lived service instead of calling this repeatedly.
-    pub fn submit_many(&self, requests: Vec<Request>) -> Vec<Result<Response, EngineError>> {
-        let n = requests.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n)
-            .min(8);
-        if workers <= 1 {
-            return requests
-                .iter()
-                .map(|r| self.core.submit_streaming(r, &mut |_| {}))
-                .collect();
-        }
-        let service = EngineService::new(
-            self.clone(),
-            ServiceConfig::default().workers(workers).queue_capacity(n),
-        );
-        let streams: Vec<_> = requests
-            .into_iter()
-            .map(|r| service.submit_stream(r))
-            .collect();
-        streams.into_iter().map(|s| s.collect()).collect()
-    }
 }
 
 /// Paper-scale admission cost of one blended request: cached context is
@@ -1257,6 +1183,7 @@ pub fn blend_admission(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{EngineService, ServiceConfig};
     use cb_tokenizer::TokenKind::*;
 
     fn engine() -> Engine {
@@ -1502,25 +1429,6 @@ mod tests {
             e.recycle(dead());
         }
         assert_eq!(e.layer_pool().len(), 6 * n);
-    }
-
-    #[test]
-    fn submit_many_preserves_order_and_matches_submit() {
-        let e = engine();
-        let (c1, c2, q, gold) = scenario(&e);
-        let ids = e.register_chunks(&[c1, c2]).unwrap();
-        let reqs: Vec<Request> = (0..12)
-            .map(|i| {
-                Request::new(ids.clone(), q.clone())
-                    .ratio(if i % 2 == 0 { 0.45 } else { 1.0 })
-                    .max_new_tokens(4)
-            })
-            .collect();
-        let out = e.submit_many(reqs);
-        assert_eq!(out.len(), 12);
-        for r in out {
-            assert_eq!(r.unwrap().answer, vec![gold]);
-        }
     }
 
     fn test_dir(tag: &str) -> std::path::PathBuf {

@@ -19,7 +19,7 @@
 //! - [`controller`] — recompute-ratio and device selection (§5.1).
 //! - [`pipeline`] — layer-streaming loader overlapped with recompute (§6).
 //! - [`engine`] — the request/response serving front door tying the above
-//!   to the tiered KV store (`register_chunk` → `submit`/`submit_many`).
+//!   to the tiered KV store (`register_chunk` → `submit`).
 //! - [`scheduler`] — the persistent [`EngineService`]: bounded admission
 //!   queue with priority lanes, long-lived worker pool, backpressure.
 //! - [`stream`] — the per-request [`Event`] lifecycle and
@@ -36,8 +36,7 @@ pub mod stream;
 
 pub use controller::LoadingController;
 pub use engine::{
-    DiskLayout, Engine, EngineBuilder, EngineError, Priority, RatioPolicy, Request, Response,
-    TtftBreakdown,
+    Engine, EngineBuilder, EngineError, Priority, RatioPolicy, Request, Response, TtftBreakdown,
 };
 pub use fusor::{BlendConfig, BlendResult, Fusor, Selection};
 pub use scheduler::{EngineService, ServiceConfig, ServiceStats, TrySubmitError};

@@ -457,7 +457,7 @@ mod tests {
 
     fn disk_store(dir: &std::path::Path, throttle_bytes_per_s: Option<f64>) -> cb_kv::KvStore {
         use cb_kv::store::TierConfig;
-        use cb_storage::{DiskBackend, MemBackend, StorageBackend, Throttle};
+        use cb_storage::{MemBackend, SegmentLogBackend, StorageBackend, Throttle};
         use std::sync::Arc;
         cb_kv::KvStore::with_backends(vec![
             (
@@ -467,7 +467,8 @@ mod tests {
             (
                 TierConfig::new("disk", 1 << 30),
                 Arc::new(
-                    DiskBackend::new(dir, throttle_bytes_per_s.map(Throttle::bandwidth)).unwrap(),
+                    SegmentLogBackend::new(dir, throttle_bytes_per_s.map(Throttle::bandwidth))
+                        .unwrap(),
                 ),
             ),
         ])

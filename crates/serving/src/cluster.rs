@@ -5,8 +5,9 @@
 //! module scales *out*: a [`ClusterService`] fronts several replicas, each
 //! with its own model instance, scheduler, and RAM store tier — typically
 //! all backed by one **shared persistent tier** (a
-//! [`DiskBackend::open_shared`] segment dir), so any replica can serve any
-//! chunk via the existing prefetch pipeline even when its RAM is cold.
+//! [`SegmentLogBackend::open_shared`] log dir, one log series per
+//! replica), so any replica can serve any chunk via the existing prefetch
+//! pipeline even when its RAM is cold.
 //!
 //! **Architecture.** The routing, spill, and failover policy lives in
 //! [`cb_net::gateway::Gateway`]; this facade wires each replica behind a
@@ -42,7 +43,7 @@
 //! chunk- and request-level locality rates, spill/reroute/failover counts,
 //! and the summed scheduler counters (deadline misses included).
 //!
-//! [`DiskBackend::open_shared`]: cb_storage::DiskBackend::open_shared
+//! [`SegmentLogBackend::open_shared`]: cb_storage::SegmentLogBackend::open_shared
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

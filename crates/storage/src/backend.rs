@@ -5,8 +5,9 @@
 //! bytes under this key" for one tier. Two implementations ship:
 //!
 //! - [`MemBackend`] — a RAM map; the fast tier.
-//! - [`DiskBackend`](crate::disk::DiskBackend) — persistent file-per-chunk
-//!   segments with a write-behind flusher; the capacity tier.
+//! - [`SegmentLogBackend`](crate::segment_log::SegmentLogBackend) —
+//!   persistent append-only logs with a group-committing write-behind
+//!   flusher; the capacity tier.
 //!
 //! Reads come in two shapes. [`StorageBackend::get`] returns the whole
 //! entry (integrity-verified where the medium can corrupt, i.e. on disk).
@@ -62,8 +63,7 @@ pub struct MaintenanceStats {
 }
 
 /// Snapshot of a backend's filesystem-operation counters. Benchmarks use
-/// these to compare layouts (file-per-chunk pays one `open` per read; a
-/// packed log reads through cached handles) without `strace`.
+/// these to count syscalls per operation without `strace`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoOps {
     /// File/dir opens (including whole-file read/write convenience calls).
@@ -142,7 +142,7 @@ pub trait ReadStream {
 /// ops, write-behind `put`s, and file deletes, all of which return
 /// without device-speed waits.
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
-    /// Short label for stats/reporting ("mem", "disk:/path").
+    /// Short label for stats/reporting ("mem", "seglog:/path").
     fn name(&self) -> String;
 
     /// True if entries survive process restart (drives store recovery).
@@ -150,9 +150,9 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         false
     }
 
-    /// True if other live handles use the same medium (shared segment
-    /// dir). The tiering policy above promotes *by copy* from a shared
-    /// tier — deleting the source segment would steal it from siblings.
+    /// True if other live handles use the same medium (shared log dir).
+    /// The tiering policy above promotes *by copy* from a shared tier —
+    /// deleting the source record would steal it from siblings.
     fn shared(&self) -> bool {
         false
     }
@@ -160,8 +160,8 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Stores `bytes` under `key`, replacing any previous entry.
     fn put(&self, key: u64, bytes: Bytes) -> Result<(), BackendError>;
 
-    /// Whole-entry read. Persistent backends verify the segment checksum
-    /// and drop the segment on mismatch (returning
+    /// Whole-entry read. Persistent backends verify the record checksum
+    /// and drop the entry on mismatch (returning
     /// [`BackendError::Corrupt`]).
     fn get(&self, key: u64) -> Result<Option<Bytes>, BackendError>;
 
@@ -173,8 +173,8 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Attempts to locate `key` on the medium even if this handle has not
     /// indexed it. Exclusive backends own their index and return `None`
     /// for unindexed keys; *shared-directory* backends (several handles —
-    /// possibly several processes — over one segment dir) re-probe the
-    /// medium, index the segment on success, and return its payload
+    /// possibly several processes — over one log dir) re-probe the
+    /// medium, index the record on success, and return its payload
     /// length. Integrity is still verified by the read that follows.
     fn discover(&self, _key: u64) -> Option<u64> {
         None
@@ -187,7 +187,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// state: private backends free the entry (same as [`Self::remove`]);
     /// shared backends only forget their index mapping, leaving the
     /// medium's copy for sibling handles. The tiering policy above uses
-    /// this for capacity eviction, which must never unlink a segment
+    /// this for capacity eviction, which must never delete a record
     /// siblings may still serve.
     fn forget(&self, key: u64) -> bool {
         self.remove(key)

@@ -13,10 +13,11 @@
 //! Since the tiered-storage subsystem, this crate also owns the *real*
 //! byte stores the tiered `cb-kv::KvStore` places entries on: the
 //! [`backend::StorageBackend`] trait with an in-RAM [`backend::MemBackend`]
-//! and a persistent [`disk::DiskBackend`] (file-per-chunk segments,
-//! write-behind flusher, crash-safe recovery), plus the shared
-//! [`checksum::fnv64`] integrity hash and a [`backend::Throttle`] that
-//! emulates the §5.2 device grid with real sleeps.
+//! and the persistent [`segment_log::SegmentLogBackend`] (append-only
+//! group-committed logs, crash-safe replay, background compaction), plus
+//! the shared [`checksum::fnv64`] integrity hash and a
+//! [`backend::Throttle`] that emulates the §5.2 device grid with real
+//! sleeps.
 //!
 //! Modules:
 //!
@@ -26,16 +27,14 @@
 //! - [`checksum`] — the workspace's shared word-wise FNV checksum.
 //! - [`backend`] — the [`backend::StorageBackend`] tier-store trait and
 //!   the RAM implementation.
-//! - [`disk`] — the persistent file-per-chunk backend (reference layout).
-//! - [`segment_log`] — the packed log-structured backend: append-only
-//!   segment logs, group commit, startup replay with torn-tail recovery.
+//! - [`segment_log`] — the persistent backend: append-only segment logs,
+//!   group commit, startup replay with torn-tail and mid-log recovery.
 //! - [`compact`] — background compaction for the segment log.
 
 pub mod backend;
 pub mod checksum;
 pub(crate) mod compact;
 pub mod device;
-pub mod disk;
 pub mod perf;
 pub mod segment_log;
 
@@ -44,6 +43,14 @@ pub use backend::{
 };
 pub use checksum::fnv64;
 pub use device::{DeviceKind, DeviceSpec};
-pub use disk::DiskBackend;
 pub use perf::{GpuSpec, PaperModel, PerfModel};
 pub use segment_log::{LogStats, SegmentLogBackend, SegmentLogConfig};
+
+/// The persistent tier's contract: what the tiered `cb-kv::KvStore` relies
+/// on from the backend holding its spilled entries, checked through the
+/// [`StorageBackend`] trait and the bytes left on disk. The log's own
+/// mechanics (rotation, compaction, resync) are tested in [`segment_log`].
+#[cfg(test)]
+mod disk {
+    mod tests;
+}

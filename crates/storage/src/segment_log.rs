@@ -1,10 +1,10 @@
-//! The packed log-structured persistent tier: append-only segment logs
-//! with an in-memory index and background compaction.
+//! The persistent tier: append-only segment logs with an in-memory index
+//! and background compaction.
 //!
-//! PR 4's file-per-chunk `<key>.seg` layout pays one inode and one
-//! `open()` per entry; at 10⁶+ chunks that is inode churn, directory-walk
-//! recovery, and zero read locality. This backend packs many records into
-//! a handful of append-only **log files** instead:
+//! Many records pack into a handful of append-only **log files**, so an
+//! entry costs no inode, no `open()` and no rename of its own, recovery is
+//! one sequential read per log rather than a directory walk, and reads go
+//! through cached file handles:
 //!
 //! ```text
 //! <dir>/00000001.cblog           (exclusive handles)
@@ -19,17 +19,29 @@
 //! **in-memory index** maps key → (log, offset, len) and is rebuilt by a
 //! sequential scan of every log at startup — logs replay in `(seq, nonce)`
 //! order, later records superseding earlier ones and tombstones deleting.
-//! A **torn tail** (a crash mid-append) is truncated back to the last
-//! valid record instead of rejecting the whole log, so one lost append
-//! never takes 10³ good records with it.
+//! A **torn tail** (a crash mid-append) is truncated back to the end of
+//! the last valid record instead of rejecting the whole log. A damaged
+//! record that a valid record *follows* (a flipped bit mid-log) is not a
+//! tail: replay resynchronises at the next valid record, counts the
+//! damaged region in [`LogStats::corrupt_dropped`], and leaves its bytes
+//! as garbage for the compactor — one bad record never takes its
+//! successors with it. Empty logs are deleted at exclusive startup.
 //!
 //! **Group commit.** [`SegmentLogBackend::put`] stages bytes in a pending
-//! map and queues them to a flusher thread, exactly like the
-//! file-per-chunk backend — but the flusher drains its whole queue per
-//! wakeup and appends the batch to the active log with **one** write call,
-//! so a registration burst of 10⁴ chunks costs ~10⁴ fewer syscalls and no
-//! renames. The active log rotates (seals) at
+//! map and queues them to a flusher thread; the caller never waits on the
+//! disk, and reads of a still-pending entry are served from the pending
+//! map (page-cache semantics). The flusher drains its whole queue per
+//! wakeup and appends the batch to the active log with **one** write
+//! call, so a registration burst of 10⁴ chunks costs a handful of write
+//! syscalls and no renames. [`StorageBackend::flush`] waits for the queue
+//! to drain (the store calls it before shutdown); dropping the backend
+//! drains it too. The active log rotates (seals) at
 //! [`SegmentLogConfig::rotate_bytes`].
+//!
+//! **Throttling.** An optional [`Throttle`] emulates a slower device with
+//! real sleeps (access latency once per read, bandwidth per byte), which
+//! is how the storage benchmarks sweep the §5.2 device grid on one
+//! machine.
 //!
 //! **Background compaction** ([`crate::compact`]) rewrites the live
 //! records of tombstone-heavy sealed logs into a fresh log
@@ -37,16 +49,21 @@
 //! reclaiming dead bytes. See the `compact` module docs for the replay-
 //! ordering argument.
 //!
-//! **Shared directories** preserve the cluster tier semantics of the
-//! file-per-chunk backend: each handle appends to its *own* log series
-//! (handle-unique nonce prefix), [`StorageBackend::discover`] re-scans
-//! sibling series incrementally so entries persisted by another replica
-//! become servable without a reopen, and [`StorageBackend::forget`]
-//! releases only this handle's claim — the record stays on disk (and
-//! stays *live* for the compactor, so a sibling's copy is never rewritten
-//! away underneath it). Shared handles never truncate or compact a
-//! foreign series, and leave foreign `.ctmp` files alone (they may be a
-//! live sibling's in-flight compaction).
+//! **Shared directories** let several live handles — cluster replicas,
+//! possibly in separate processes — serve one persistent tier
+//! ([`SegmentLogBackend::open_shared`]). Each handle appends to its *own*
+//! log series (handle-unique nonce prefix), so no two handles ever write
+//! one file. [`StorageBackend::discover`] re-scans sibling series
+//! incrementally so entries persisted by another replica become servable
+//! without a reopen; a sibling's tombstone makes the key undiscoverable
+//! (a handle that already claimed the record keeps serving its verified
+//! bytes until it releases the claim — keys are content hashes, so the
+//! bytes are still right).
+//! [`StorageBackend::forget`] releases only this handle's claim — the
+//! record stays on disk (and stays *live* for the compactor, so a
+//! sibling's copy is never rewritten away underneath it). Shared handles
+//! never truncate or compact a foreign series, and leave foreign `.ctmp`
+//! files alone (they may be a live sibling's in-flight compaction).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -235,7 +252,9 @@ pub struct LogStats {
     pub reclaimed_bytes: u64,
     /// Live bytes rewritten by compaction.
     pub rewritten_bytes: u64,
-    /// Records dropped because their checksum failed during compaction.
+    /// Damaged records dropped: mid-log regions that startup replay or a
+    /// discovery scan skipped, plus records whose checksum failed during
+    /// compaction.
     pub corrupt_dropped: u64,
     /// Torn tail records truncated away by startup recovery.
     pub torn_truncated: u64,
@@ -317,41 +336,69 @@ pub(crate) struct ScanRecord {
     pub(crate) len: u64,
 }
 
-/// Walks `raw` from `from`, yielding every fully-valid record. Returns
-/// the records and the offset of the first invalid/incomplete byte (the
-/// valid prefix length when it equals `raw.len()`).
-pub(crate) fn scan_records(raw: &[u8], from: u64) -> (Vec<ScanRecord>, u64) {
-    let mut out = Vec::new();
-    let mut pos = from as usize;
-    while pos + REC_FRAME <= raw.len() {
-        let h = &raw[pos..pos + REC_HEADER];
-        let magic = u32::from_le_bytes(h[0..4].try_into().unwrap());
-        let kind = h[4];
-        let key = u64::from_le_bytes(h[8..16].try_into().unwrap());
-        let plen = u64::from_le_bytes(h[16..24].try_into().unwrap()) as usize;
-        if magic != REC_MAGIC || !(kind == KIND_PUT || kind == KIND_TOMB) {
-            break;
-        }
-        let Some(end) = pos.checked_add(REC_FRAME).and_then(|e| e.checked_add(plen)) else {
-            break;
-        };
-        if end > raw.len() {
-            break; // incomplete tail record
-        }
-        let body = pos + REC_HEADER + plen;
-        let declared = u64::from_le_bytes(raw[body..body + 8].try_into().unwrap());
-        if fnv64(&raw[pos..body]) != declared {
-            break;
-        }
-        out.push(ScanRecord {
-            key,
-            kind,
-            payload_off: (pos + REC_HEADER) as u64,
-            len: plen as u64,
-        });
-        pos = end;
+/// What one pass over a log's bytes found.
+pub(crate) struct Scan {
+    /// Every fully-valid record, in log order.
+    pub(crate) records: Vec<ScanRecord>,
+    /// End of the last valid record; the bytes after it are a torn (or
+    /// still in-flight) tail.
+    pub(crate) valid_len: u64,
+    /// Damaged regions skipped because a valid record follows them.
+    pub(crate) damaged: u64,
+}
+
+/// Parses the record framed at `pos`: `Some((record, end))` only if it is
+/// complete and its checksum holds.
+fn record_at(raw: &[u8], pos: usize) -> Option<(ScanRecord, usize)> {
+    let h = raw.get(pos..pos.checked_add(REC_HEADER)?)?;
+    let magic = u32::from_le_bytes(h[0..4].try_into().unwrap());
+    let kind = h[4];
+    if magic != REC_MAGIC || !(kind == KIND_PUT || kind == KIND_TOMB) {
+        return None;
     }
-    (out, pos as u64)
+    let key = u64::from_le_bytes(h[8..16].try_into().unwrap());
+    let plen = usize::try_from(u64::from_le_bytes(h[16..24].try_into().unwrap())).ok()?;
+    let body = (pos + REC_HEADER).checked_add(plen)?;
+    let declared = raw.get(body..body.checked_add(8)?)?;
+    if fnv64(&raw[pos..body]) != u64::from_le_bytes(declared.try_into().unwrap()) {
+        return None;
+    }
+    let rec = ScanRecord {
+        key,
+        kind,
+        payload_off: (pos + REC_HEADER) as u64,
+        len: plen as u64,
+    };
+    Some((rec, body + 8))
+}
+
+/// Walks `raw`, yielding every fully-valid record. A record that fails
+/// its framing or checksum is skipped when a valid record starts anywhere
+/// after it (mid-log damage must not take its successors with it); with
+/// no valid record after it, it begins the tail.
+pub(crate) fn scan_records(raw: &[u8]) -> Scan {
+    let mut scan = Scan {
+        records: Vec::new(),
+        valid_len: 0,
+        damaged: 0,
+    };
+    let mut pos = 0;
+    while pos < raw.len() {
+        if let Some((rec, end)) = record_at(raw, pos) {
+            scan.records.push(rec);
+            scan.valid_len = end as u64;
+            pos = end;
+            continue;
+        }
+        match (pos + 1..raw.len()).find(|&p| record_at(raw, p).is_some()) {
+            Some(next) => {
+                scan.damaged += 1;
+                pos = next;
+            }
+            None => break,
+        }
+    }
+    scan
 }
 
 /// Positional read through a cached handle (no seek, no reopen).
@@ -472,28 +519,38 @@ impl SegmentLogBackend {
                     continue;
                 }
             };
-            let (records, valid_len) = scan_records(&raw, 0);
+            let Scan {
+                records,
+                valid_len,
+                damaged,
+            } = scan_records(&raw);
+            state.counters.corrupt_dropped += damaged;
             let mut file_len = raw.len() as u64;
-            if valid_len < file_len {
-                if shared && fk.1 != nonce {
-                    // A foreign torn tail may be a sibling's append still
-                    // in flight — leave the bytes, remember where to
-                    // resume scanning.
-                } else {
-                    // Own (or exclusively owned) log: a crash tore the
-                    // tail. Truncate back to the last valid record so the
-                    // good prefix keeps serving.
-                    io.open();
-                    io.write();
-                    let ok = fs::OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .and_then(|f| f.set_len(valid_len));
-                    if ok.is_ok() {
-                        file_len = valid_len;
-                        torn_truncated += 1;
-                    }
+            // A foreign series is never touched: its torn tail may be a
+            // sibling's append still in flight — leave the bytes, remember
+            // where to resume scanning.
+            let own = !shared || fk.1 == nonce;
+            if own && valid_len < file_len {
+                // A crash tore the tail. Truncate back to the last valid
+                // record so the good prefix keeps serving.
+                io.open();
+                io.write();
+                let ok = fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_len(valid_len));
+                if ok.is_ok() {
+                    file_len = valid_len;
+                    torn_truncated += 1;
                 }
+            }
+            if own && file_len == 0 {
+                // Holds nothing (a session that never wrote, or a log
+                // torn to nothing): delete rather than accumulate.
+                io.delete();
+                let _ = fs::remove_file(&path);
+                dropped += 1;
+                continue;
             }
             state.logs.insert(
                 fk,
@@ -855,11 +912,16 @@ impl SegmentLogBackend {
             if read_exact_at(&file, &mut buf, from).is_err() {
                 continue;
             }
-            let (records, end) = scan_records(&buf, 0);
+            let Scan {
+                records,
+                valid_len,
+                damaged,
+            } = scan_records(&buf);
             let mut s = self.state.lock();
+            s.counters.corrupt_dropped += damaged;
             if let Some(info) = s.logs.get_mut(&fk) {
-                info.scan_pos = from + end;
-                info.len = info.len.max(from + end);
+                info.scan_pos = from + valid_len;
+                info.len = info.len.max(from + valid_len);
             }
             for r in records {
                 let loc = RecordLoc {
@@ -1449,6 +1511,7 @@ mod tests {
         }
         let b = SegmentLogBackend::new(&dir, None).unwrap();
         assert_eq!(b.len(), 1, "overwrite + tombstone replayed");
+        assert_eq!(b.used_bytes(), 64);
         assert_eq!(b.get(1).unwrap().unwrap().as_ref(), &[8u8; 64][..]);
         assert!(!b.contains(2), "tombstone deletes across restart");
         let _ = fs::remove_dir_all(&dir);
@@ -1642,14 +1705,93 @@ mod tests {
     }
 
     #[test]
+    fn mid_log_corruption_keeps_every_intact_record() {
+        let dir = test_dir("mid-corrupt");
+        {
+            let b = SegmentLogBackend::new(&dir, None).unwrap();
+            for k in 0..8u64 {
+                b.put(k, Bytes::from(vec![k as u8; 40])).unwrap();
+            }
+        }
+        let log = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .find(|p| p.extension().is_some_and(|e| e == "cblog"))
+            .unwrap();
+        let mut raw = fs::read(&log).unwrap();
+        let frame = 40 + REC_FRAME;
+        assert_eq!(raw.len(), 8 * frame);
+        raw[2 * frame + REC_HEADER + 7] ^= 0x01; // one payload bit of key 2
+        fs::write(&log, &raw).unwrap();
+
+        let b = SegmentLogBackend::new(&dir, None).unwrap();
+        assert!(!b.contains(2), "the damaged record is never indexed");
+        for k in (0..8u64).filter(|&k| k != 2) {
+            assert_eq!(
+                b.get(k).unwrap().unwrap().as_ref(),
+                &[k as u8; 40][..],
+                "intact record {k} survives the damage before it"
+            );
+        }
+        let stats = b.log_stats();
+        assert_eq!(stats.corrupt_dropped, 1);
+        assert_eq!(b.torn_truncations(), 0, "mid-log damage is not a tail");
+        assert_eq!(
+            fs::metadata(&log).unwrap().len(),
+            raw.len() as u64,
+            "the log keeps its suffix"
+        );
+        assert_eq!(
+            stats.live_bytes,
+            7 * frame as u64,
+            "the damaged frame is garbage for the compactor"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn discovery_resyncs_past_a_damaged_foreign_record() {
+        let dir = test_dir("shared-resync");
+        let a = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        let b = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        for k in 1..=3u64 {
+            a.put(k, Bytes::from(vec![k as u8; 48])).unwrap();
+        }
+        a.flush().unwrap();
+        let log = {
+            let s = a.state.lock();
+            s.logs[&s.active].path.clone()
+        };
+        let mut raw = fs::read(&log).unwrap();
+        raw[REC_HEADER + 3] ^= 0x10; // key 1's payload
+        fs::write(&log, &raw).unwrap();
+        assert_eq!(b.discover(3), Some(48), "the scan resumes past key 1");
+        assert_eq!(b.get(3).unwrap().unwrap().as_ref(), &[3u8; 48][..]);
+        assert_eq!(b.discover(2), Some(48));
+        assert_eq!(b.discover(1), None, "the damaged record is never adopted");
+        assert_eq!(b.log_stats().corrupt_dropped, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stale_ctmp_is_removed_at_exclusive_startup() {
         let dir = test_dir("ctmp");
         fs::create_dir_all(&dir).unwrap();
         let stale = dir.join("00000009.cblog.ctmp");
         fs::write(&stale, b"half-written compaction output").unwrap();
+        // A shared handle cannot tell debris from a live sibling's
+        // in-flight compaction: it leaves the file alone.
+        let shared = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        assert_eq!(shared.dropped_debris(), 0);
+        drop(shared);
+        assert!(stale.exists(), "shared startup must not delete .ctmp");
+        // The exclusive owner cleans it up, plus the shared session's
+        // empty log.
         let b = SegmentLogBackend::new(&dir, None).unwrap();
-        assert_eq!(b.dropped_debris(), 1);
+        assert_eq!(b.dropped_debris(), 2);
         assert!(!stale.exists());
+        assert_eq!(b.log_stats().logs, 1, "only the fresh active log");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1671,8 +1813,40 @@ mod tests {
         assert!(!b.contains(77));
         assert_eq!(a.get(77).unwrap().unwrap(), payload);
         assert_eq!(b.discover(77), Some(80), "re-adopted from unclaimed");
-        // An id nowhere on the medium stays undiscoverable.
+        // An id nowhere on the medium stays undiscoverable, and so does
+        // one a sibling persisted and then removed.
         assert_eq!(b.discover(404), None);
+        a.put(78, payload.clone()).unwrap();
+        assert!(a.remove(78));
+        a.flush().unwrap();
+        assert_eq!(b.discover(78), None, "the sibling's tombstone hides it");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_shared_writers_never_tear_a_record() {
+        let dir = test_dir("shared-write");
+        let a = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        let b = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        // Interleaved write-behind on one key from both handles: each
+        // appends to its own series, so neither flusher ever writes into
+        // the other's file.
+        for i in 0..16u8 {
+            a.put(9, Bytes::from(vec![i; 64])).unwrap();
+            b.put(9, Bytes::from(vec![i ^ 0xFF; 64])).unwrap();
+        }
+        a.flush().unwrap();
+        b.flush().unwrap();
+        assert_eq!(a.get(9).unwrap().unwrap().as_ref(), &[15u8; 64][..]);
+        assert_eq!(b.get(9).unwrap().unwrap().as_ref(), &[15 ^ 0xFF; 64][..]);
+        drop((a, b));
+        let later = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        let got = later.get(9).unwrap().unwrap();
+        assert!(
+            got.iter().all(|&x| x == 15) || got.iter().all(|&x| x == 15 ^ 0xFF),
+            "one complete final generation survives, never a torn mix"
+        );
+        assert_eq!(later.log_stats().corrupt_dropped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -11,8 +11,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Three replicas: each owns its model, scheduler, and a small RAM
-    // tier; all share one persistent segment dir, so any replica can
-    // serve any chunk that reached disk.
+    // tier; all share one persistent log dir (each replica appends its
+    // own log series), so any replica can serve any chunk that reached
+    // disk.
     let cluster = ClusterService::build(
         3,
         ServiceConfig::default().workers(1).queue_capacity(8),

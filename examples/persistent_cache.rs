@@ -17,7 +17,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     // The deployment: a RAM fast tier over a persistent NVMe-class disk
-    // tier holding segment files under `cache_dir`.
+    // tier holding append-only segment logs under `cache_dir`.
     let build = || {
         EngineBuilder::new(ModelProfile::Mistral7B)
             .blend_config(BlendConfig::with_ratio(0.4))
@@ -66,7 +66,7 @@ fn main() {
         resp.ttft.precompute
     );
 
-    // Demote the KV to the disk tier and flush the segment files.
+    // Demote the KV to the disk tier and flush the log.
     engine.persist().expect("persist");
     let on_disk = engine.store().tier_used(1);
     drop(engine);

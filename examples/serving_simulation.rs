@@ -1,6 +1,6 @@
 //! Serving-rate exploration: sweep the request rate and watch each
 //! scheme's TTFT saturate (a quick interactive view of Figure 14), serve
-//! a real batch through [`Engine::submit_many`], then close the loop:
+//! a real batch through an [`EngineService`], then close the loop:
 //! run the same simulator against the *real* engine via
 //! [`EngineBackend`].
 //!
@@ -69,8 +69,18 @@ fn main() {
             )
         })
         .collect();
+    let service = EngineService::new(
+        engine.clone(),
+        ServiceConfig::default()
+            .workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .queue_capacity(batch.len()),
+    );
     let t0 = std::time::Instant::now();
-    let responses = engine.submit_many(batch);
+    let streams: Vec<_> = batch
+        .into_iter()
+        .map(|r| service.submit_stream(r))
+        .collect();
+    let responses: Vec<_> = streams.into_iter().map(|s| s.collect()).collect();
     let elapsed = t0.elapsed();
     let ok = responses.iter().filter(|r| r.is_ok()).count();
     let mean_score: f32 = responses
@@ -84,7 +94,7 @@ fn main() {
         .sum::<f32>()
         / ok.max(1) as f32;
     println!(
-        "engine.submit_many: {ok}/16 requests served concurrently in {elapsed:?} \
+        "EngineService: {ok}/16 requests served concurrently in {elapsed:?} \
          (mean {} {mean_score:.3}, store stats {:?})",
         ds.kind.metric_name(),
         engine.store().stats(),

@@ -13,7 +13,7 @@
 //!   checksums, the tiered RAM↔disk LRU store, and layer-granular
 //!   prefetch.
 //! - [`storage`] — storage device models, delay/cost estimators, and the
-//!   real byte backends (RAM map, persistent disk segments).
+//!   real byte backends (RAM map, persistent segment logs).
 //! - [`blend`] — the CacheBlend fusor, loading controller, pipeline, the
 //!   request-oriented [`engine`], and the streaming [`scheduler`]
 //!   ([`EngineService`](cb_core::scheduler::EngineService)).
@@ -71,8 +71,8 @@ pub mod prelude {
     pub use cb_core::{
         controller::LoadingController,
         engine::{
-            DiskLayout, Engine, EngineBuilder, EngineError, Priority, Request, Response,
-            StorageConfig, TierSpec, TtftBreakdown,
+            Engine, EngineBuilder, EngineError, Priority, Request, Response, StorageConfig,
+            TierSpec, TtftBreakdown,
         },
         fusor::{BlendConfig, Fusor},
         scheduler::{EngineService, ServiceConfig, ServiceStats, TrySubmitError},

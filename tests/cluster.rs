@@ -121,7 +121,7 @@ fn non_home_replicas_serve_from_the_shared_tier() {
 
     // Registration itself replicated every home cache onto the shared
     // persistent tier (no explicit persist needed); drain the
-    // write-behind flushers so the segments are discoverable on disk.
+    // write-behind flushers so the records are discoverable on disk.
     for r in 0..2 {
         cluster.replica(r).engine().flush_storage().unwrap();
         assert!(

@@ -24,6 +24,32 @@ fn build_engine(dir: &std::path::Path) -> Engine {
         .expect("engine builds over the cache dir")
 }
 
+/// The disk tier's log files, oldest first.
+fn log_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut logs: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "cblog"))
+        .collect();
+    logs.sort();
+    logs
+}
+
+/// Byte ranges of every record's payload in a log (record framing:
+/// 24-byte header whose last word is the payload length, payload,
+/// 8-byte checksum).
+fn payloads(raw: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < raw.len() {
+        let len = u64::from_le_bytes(raw[pos + 16..pos + 24].try_into().unwrap()) as usize;
+        out.push(pos + 24..pos + 24 + len);
+        pos += 24 + len + 8;
+    }
+    out
+}
+
 fn scenario(e: &Engine) -> (Vec<Vec<u32>>, Vec<u32>, u32) {
     let v = &e.model().cfg.vocab;
     let c1: Vec<u32> = [Entity(5), Attr(0), Value(1), Sep]
@@ -62,25 +88,24 @@ fn engine_state_survives_restart_with_crash_debris() {
         (chunks, query, gold)
     };
 
-    // Simulated crash debris: a torn half-written segment plus a .tmp
-    // orphan. Recovery must drop both and keep the intact entries.
-    let mut seg_files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
-        .collect();
-    seg_files.sort();
-    assert_eq!(seg_files.len(), 2, "both chunks persisted");
-    let torn = &seg_files[0];
-    let raw = std::fs::read(torn).unwrap();
-    std::fs::write(torn, &raw[..raw.len() / 2]).unwrap();
-    std::fs::write(dir.join("deadbeefdeadbeef.tmp"), b"half a segment").unwrap();
+    // Simulated crash debris: the active log's tail record torn
+    // mid-payload, plus a stale compaction temp. Recovery must drop both
+    // and keep the intact entry.
+    let logs = log_files(&dir);
+    assert_eq!(logs.len(), 1, "one session, one log");
+    let raw = std::fs::read(&logs[0]).unwrap();
+    let records = payloads(&raw);
+    assert_eq!(records.len(), 2, "both chunks persisted");
+    let tail = &records[1];
+    std::fs::write(&logs[0], &raw[..tail.start + tail.len() / 2]).unwrap();
+    let stale = dir.join("00000007.cblog.ctmp");
+    std::fs::write(&stale, b"half a compaction").unwrap();
 
     // Session 2: rebuild. One chunk recovered, the torn one re-precomputed
     // transparently at registration; the request serves correctly.
     let e = build_engine(&dir);
-    assert_eq!(e.store().len(), 1, "torn segment dropped at recovery");
+    assert_eq!(e.store().len(), 1, "torn record dropped at recovery");
+    assert!(!stale.exists(), "stale compaction temp deleted");
     let ids = e.register_chunks(&chunks).unwrap();
     assert_eq!(
         e.store().stats().inserts,
@@ -129,17 +154,12 @@ fn corrupt_disk_segment_is_quarantined_and_repaired() {
     let ids = e.register_chunks(&chunks).unwrap();
     e.persist().unwrap();
 
-    // Flip one byte deep inside a segment's layer data.
-    let seg = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|en| en.path())
-        .find(|p| p.extension().is_some_and(|x| x == "seg"))
-        .unwrap();
-    let mut raw = std::fs::read(&seg).unwrap();
-    let n = raw.len();
-    raw[n / 2] ^= 0xFF;
-    std::fs::write(&seg, raw).unwrap();
+    // Flip one byte deep inside a record's layer data.
+    let log = log_files(&dir).pop().unwrap();
+    let mut raw = std::fs::read(&log).unwrap();
+    let first = payloads(&raw)[0].clone();
+    raw[first.start + first.len() / 2] ^= 0xFF;
+    std::fs::write(&log, raw).unwrap();
 
     // First submit trips the checksum: unified Corrupt error, entry gone.
     let err = e
