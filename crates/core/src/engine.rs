@@ -17,17 +17,17 @@
 //!    ratio, stream the entries' layers through the
 //!    [`pipeline`](crate::pipeline)'s `blend_prefetched_pooled` (load
 //!    overlapped with selective recompute, the fused cache built in pooled
-//!    layers), decode, and
-//!    return a [`Response`] with the answer, the [`BlendResult`] stats, and
-//!    a [`TtftBreakdown`]. [`Engine::submit_streaming`] is the same
-//!    lifecycle with per-phase [`Event`]s emitted as they happen
-//!    ([`Event::FirstToken`] when prefill completes, [`Event::Token`] per
-//!    decoded token).
+//!    layers), decode the answer as a [`DecodeBatch`] of one, and return a
+//!    [`Response`] with the answer, the [`BlendResult`] stats, and a
+//!    [`TtftBreakdown`].
 //! 4. Concurrent and continuous serving — one request or a whole batch —
 //!    goes through the [`EngineService`](crate::scheduler::EngineService)
 //!    scheduler, which owns a worker pool and an admission queue over a
 //!    shared [`Engine`] handle — [`Engine`] is a cheap clone ([`Arc`]
-//!    inside) and `Sync`; the store serializes itself internally.
+//!    inside) and `Sync`; the store serializes itself internally. Its
+//!    streams carry per-phase [`Event`]s as they happen
+//!    ([`Event::FirstToken`] when prefill completes, [`Event::Token`] per
+//!    decoded token), and its decoder steps one shared batch.
 //!
 //! [`EngineError`] unifies the error surfaces ([`DecodeError`],
 //! [`StoreError`], unknown ids, empty inputs) that previously leaked from
@@ -43,7 +43,7 @@ use cb_kv::prefetch::PrefetchHandle;
 use cb_kv::serialize::{encode, DecodeError};
 use cb_kv::store::{KvStore, StoreError, TierConfig};
 use cb_kv::ChunkId;
-use cb_model::{KvCache, Model, ModelConfig, ModelProfile};
+use cb_model::{DecodeBatch, FinishedSeq, KvCache, Model, ModelConfig, ModelProfile, SeqId};
 use cb_storage::backend::{MemBackend, StorageBackend, Throttle};
 use cb_storage::device::DeviceKind;
 use cb_storage::perf::{PaperModel, PerfModel};
@@ -905,23 +905,12 @@ impl EngineCore {
         Ok(bytes)
     }
 
-    /// The full request lifecycle with per-phase event emission; see
-    /// [`Engine::submit_streaming`].
-    fn submit_streaming(
-        &self,
-        request: &Request,
-        emit: &mut dyn FnMut(Event),
-    ) -> Result<Response, EngineError> {
-        let prefilled = self.prefill_streaming(request, emit)?;
-        Ok(self.decode_prefilled(prefilled, emit))
-    }
-
     /// Everything up to and including the `FirstToken` emission: chunk
     /// fetch/repair, ratio selection, and the blend. The returned
-    /// [`Prefilled`] carries what decode needs, so the scheduler's batched
-    /// path can hand it to a shared decode loop while this worker prefills
-    /// the next request (blend/decode overlap).
-    pub(crate) fn prefill_streaming(
+    /// [`Prefilled`] carries what decode needs, so the scheduler can hand
+    /// it to its shared decode loop while this worker prefills the next
+    /// request (blend/decode overlap).
+    fn prefill_streaming(
         &self,
         request: &Request,
         emit: &mut dyn FnMut(Event),
@@ -1054,48 +1043,13 @@ impl EngineCore {
             started: t0,
         })
     }
-
-    /// The sequential decode half of [`EngineCore::submit_streaming`]:
-    /// greedy-decodes the blended cache, emitting `Token` events, and
-    /// finalizes the response's TTFT copy.
-    pub(crate) fn decode_prefilled(
-        &self,
-        prefilled: Prefilled,
-        emit: &mut dyn FnMut(Event),
-    ) -> Response {
-        let Prefilled {
-            mut blend,
-            mut ttft,
-            recompute_ratio,
-            chunk_sources,
-            max_new_tokens,
-            started,
-        } = prefilled;
-        let t_dec = Instant::now();
-        let decode_span = cb_obs::trace::Span::begin("decode");
-        let answer = self.model.decode_greedy_with(
-            &mut blend.cache,
-            &blend.last_residual,
-            max_new_tokens,
-            &mut |t| emit(Event::Token(t)),
-        );
-        decode_span.end();
-        ttft.decode = t_dec.elapsed();
-        ttft.total = started.elapsed();
-        Response {
-            answer,
-            blend,
-            ttft,
-            recompute_ratio,
-            chunk_sources,
-        }
-    }
 }
 
 /// A request that has completed prefill (blend done, `FirstToken` emitted)
-/// but not yet decoded; produced by [`EngineCore::prefill_streaming`] and
-/// consumed either by [`EngineCore::decode_prefilled`] (sequential) or by
-/// the scheduler's continuous-batching decode loop.
+/// but not yet decoded; produced by `EngineCore::prefill_streaming`,
+/// decoded in a [`DecodeBatch`] — a batch of one under [`Engine::submit`],
+/// the scheduler's shared batch under an
+/// [`EngineService`](crate::scheduler::EngineService).
 pub(crate) struct Prefilled {
     pub(crate) blend: BlendResult,
     pub(crate) ttft: TtftBreakdown,
@@ -1105,37 +1059,68 @@ pub(crate) struct Prefilled {
     pub(crate) started: Instant,
 }
 
-impl Engine {
-    /// Serves one request. See the module docs for the lifecycle; returns
-    /// the decoded answer plus blend statistics and a TTFT breakdown.
-    pub fn submit(&self, request: Request) -> Result<Response, EngineError> {
-        self.core.submit_streaming(&request, &mut |_| {})
+impl Prefilled {
+    /// Admits this request to `batch`: the fused cache moves into the
+    /// batch slot and comes back, with the answer's rows appended, through
+    /// [`Prefilled::finish`].
+    pub(crate) fn admit(&mut self, model: &Model, batch: &mut DecodeBatch) -> SeqId {
+        let cache = std::mem::replace(&mut self.blend.cache, KvCache::empty(0, 0));
+        batch.admit(model, cache, &self.blend.last_residual, self.max_new_tokens)
     }
 
-    /// The prefill half of [`Engine::submit_streaming`] (through the
-    /// `FirstToken` emission); the scheduler's batched decode path pairs
-    /// it with a shared [`cb_model::DecodeBatch`] loop.
+    /// The request's [`Response`] once its sequence retired from the batch
+    /// (`decode_started` is when it was admitted): the only place a
+    /// `Response` is built.
+    pub(crate) fn finish(self, fin: FinishedSeq, decode_started: Instant) -> Response {
+        let Prefilled {
+            mut blend,
+            mut ttft,
+            recompute_ratio,
+            chunk_sources,
+            started,
+            max_new_tokens: _,
+        } = self;
+        blend.cache = fin.cache;
+        ttft.decode = decode_started.elapsed();
+        ttft.total = started.elapsed();
+        Response {
+            answer: fin.tokens,
+            blend,
+            ttft,
+            recompute_ratio,
+            chunk_sources,
+        }
+    }
+}
+
+impl Engine {
+    /// Serves one request. See the module docs for the lifecycle; returns
+    /// the decoded answer plus blend statistics and a TTFT breakdown. The
+    /// answer is decoded as a [`DecodeBatch`] of one — the loop an
+    /// [`EngineService`](crate::scheduler::EngineService) steps, so both
+    /// front doors produce the same bits.
+    pub fn submit(&self, request: Request) -> Result<Response, EngineError> {
+        let mut prefilled = self.core.prefill_streaming(&request, &mut |_| {})?;
+        let decode_started = Instant::now();
+        let decode_span = cb_obs::trace::Span::begin("decode");
+        let mut batch = DecodeBatch::new();
+        prefilled.admit(self.model(), &mut batch);
+        let (_, fin) = batch
+            .run_to_completion(self.model(), &mut |_, _| {})
+            .pop()
+            .expect("the admitted sequence retires");
+        decode_span.end();
+        Ok(prefilled.finish(fin, decode_started))
+    }
+
+    /// The prefill half of a request (through the `FirstToken` emission);
+    /// the scheduler pairs it with its shared [`DecodeBatch`] loop.
     pub(crate) fn prefill_streaming(
         &self,
         request: &Request,
         emit: &mut dyn FnMut(Event),
     ) -> Result<Prefilled, EngineError> {
         self.core.prefill_streaming(request, emit)
-    }
-
-    /// Serves one request, emitting streaming [`Event`]s as each phase
-    /// completes: [`Event::FirstToken`] when prefill finishes (that
-    /// breakdown *is* the TTFT measurement — its `decode` is zero) and
-    /// [`Event::Token`] per decoded answer token. The returned response is
-    /// identical to [`Engine::submit`]'s. The
-    /// [`EngineService`](crate::scheduler::EngineService) scheduler wraps
-    /// this with [`Event::Queued`]/[`Event::Admitted`]/[`Event::Done`].
-    pub fn submit_streaming(
-        &self,
-        request: &Request,
-        emit: &mut dyn FnMut(Event),
-    ) -> Result<Response, EngineError> {
-        self.core.submit_streaming(request, emit)
     }
 }
 
@@ -1410,8 +1395,9 @@ mod tests {
     #[test]
     fn recycled_layers_are_kept_up_to_what_can_be_in_flight() {
         // A bare engine keeps one request's layers; a service raises the
-        // bound to (workers + batch slots) requests' worth and no knob
-        // exists. Recycling past the bound leaves the pool at the bound.
+        // bound to (workers + batch slots + handoff slots) requests' worth
+        // and no knob exists. Recycling past the bound leaves the pool at
+        // the bound.
         let e = engine();
         let (n, width) = (e.model().n_layers(), e.model().cfg.kv_width());
         let dead = || KvCache::empty(n, width);
@@ -1424,11 +1410,11 @@ mod tests {
             e.clone(),
             ServiceConfig::default().workers(2).decode_batch(4),
         );
-        assert_eq!(e.layer_pool().bound(), 6 * n);
-        for _ in 0..10 {
+        assert_eq!(e.layer_pool().bound(), 10 * n);
+        for _ in 0..12 {
             e.recycle(dead());
         }
-        assert_eq!(e.layer_pool().len(), 6 * n);
+        assert_eq!(e.layer_pool().len(), 10 * n);
     }
 
     fn test_dir(tag: &str) -> std::path::PathBuf {

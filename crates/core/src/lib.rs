@@ -21,7 +21,8 @@
 //! - [`engine`] — the request/response serving front door tying the above
 //!   to the tiered KV store (`register_chunk` → `submit`).
 //! - [`scheduler`] — the persistent [`EngineService`]: bounded admission
-//!   queue with priority lanes, long-lived worker pool, backpressure.
+//!   queue with priority lanes, long-lived worker pool feeding one batched
+//!   decode loop, backpressure.
 //! - [`stream`] — the per-request [`Event`] lifecycle and
 //!   [`ResponseStream`] (`Queued → Admitted → FirstToken → Token* → Done`).
 

@@ -13,7 +13,7 @@
 //! tests/benches that demonstrate the overlap.
 //!
 //! The loader builds each fused layer in a buffer drawn from a
-//! [`LayerPool`], the bounded free list an engine keeps so that serving a
+//! `LayerPool`, the bounded free list an engine keeps so that serving a
 //! request does not allocate (and fault in) a fresh fused cache.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

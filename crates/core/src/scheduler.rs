@@ -18,13 +18,16 @@
 //! - **Observability**: [`ServiceStats`] counts submissions, rejections,
 //!   completions, failures, TTFT-deadline misses, and the peak queue
 //!   depth.
-//! - **Continuous batching** ([`ServiceConfig::decode_batch`] ≥ 2):
-//!   workers run only the blend/prefill half of a request and hand the
-//!   prefilled sequence to a dedicated decoder thread stepping a shared
-//!   [`cb_model::DecodeBatch`]. Sequences join and leave the running
-//!   batch between decode iterations, so one request's recompute overlaps
-//!   another's decode. Batched decode is bit-identical to the sequential
-//!   path and per-request event order is unchanged.
+//! - **Continuous batching**: workers run only the blend/prefill half of
+//!   a request and hand the prefilled sequence, through a channel bounded
+//!   at [`ServiceConfig::decode_batch`], to one decoder thread stepping a
+//!   shared [`cb_model::DecodeBatch`] of up to that many sequences.
+//!   Sequences join and leave the running batch between decode
+//!   iterations, so one request's recompute overlaps another's decode; a
+//!   width of 1 is a batch of one.
+//!   When the batch is full and the handoff channel holds `decode_batch`
+//!   more, workers block in the handoff and stop popping the queue, so
+//!   the pressure reaches admission.
 //!
 //! Workers drain the queue on shutdown ([`EngineService`]'s `Drop` joins
 //! them, then the decoder), so every accepted request reaches a terminal
@@ -36,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cb_model::{DecodeBatch, KvCache, SeqId};
+use cb_model::{DecodeBatch, SeqId};
 use cb_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use cb_obs::trace::{Span, TraceContext};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -108,11 +111,10 @@ pub struct ServiceConfig {
     /// Consecutive high-lane dispatches allowed while normal-lane work is
     /// waiting before one normal request is dispatched.
     pub fair_burst: usize,
-    /// Width of the continuous decode batch. `1` (the default) decodes
-    /// each request on the worker that prefilled it — the classic path.
-    /// `n ≥ 2` routes prefilled requests to a dedicated decoder thread
-    /// that steps up to `n` sequences in lockstep, admitting and retiring
-    /// between iterations.
+    /// Width of the decode batch: the decoder thread steps up to this
+    /// many sequences in lockstep, admitting and retiring between
+    /// iterations (`1` is a batch of one). It also bounds the
+    /// worker→decoder handoff channel. Default 8.
     pub decode_batch: usize,
 }
 
@@ -125,7 +127,7 @@ impl Default for ServiceConfig {
                 .min(4),
             queue_capacity: 64,
             fair_burst: 4,
-            decode_batch: 1,
+            decode_batch: 8,
         }
     }
 }
@@ -365,6 +367,33 @@ struct Shared {
     inflight: AtomicU64,
 }
 
+impl Shared {
+    /// The terminal bookkeeping of every popped request, in one place.
+    /// `terminal` is its `Done` or `Failed` event, or `None` when it is
+    /// dropped unserved (its client dropped the stream, or the decoder was
+    /// gone at handoff) and the stream just closes, which `collect()`
+    /// reports as [`EngineError::Canceled`]. `inflight` drops *before* the
+    /// event goes out (a client that observed `Done`/`Failed` must never
+    /// still see the request in flight), the [`ServiceStats`] counter and
+    /// its registry twin move together, and a served or failed request
+    /// records `cb_request_seconds` from `served_at`.
+    fn retire(&self, tx: &Sender<Event>, served_at: Instant, terminal: Option<Event>) {
+        let obs = sched_obs();
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
+        let (count, counter) = match &terminal {
+            Some(Event::Done(_)) => (&self.stats.completed, &obs.completed),
+            Some(_) => (&self.stats.failed, &obs.failed),
+            None => (&self.stats.canceled, &obs.canceled),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
+        if let Some(event) = terminal {
+            obs.request.record_duration(served_at.elapsed());
+            let _ = tx.send(event);
+        }
+    }
+}
+
 /// The persistent streaming scheduler over an [`Engine`]. See the module
 /// docs for the lifecycle; dropping the service shuts the pool down after
 /// draining the queue.
@@ -378,16 +407,17 @@ pub struct EngineService {
 
 impl EngineService {
     /// Starts the service: spawns `cfg.workers` threads, each holding a
-    /// clone of `engine` (clones share the store, registry, and model).
-    /// With [`ServiceConfig::decode_batch`] ≥ 2 a decoder thread is also
-    /// spawned; workers then prefill and hand sequences to it.
+    /// clone of `engine` (clones share the store, registry, and model),
+    /// and — when there is at least one worker — the decoder thread they
+    /// hand prefilled sequences to.
     pub fn new(engine: Engine, cfg: ServiceConfig) -> Self {
-        // At most one request per worker and one per batch slot holds a
-        // fused cache, so that many caches' layers are worth keeping for
-        // reuse (`Engine::recycle`); more could only sit idle.
+        // At most one request per worker, one per batch slot and one per
+        // handoff-channel slot holds a fused cache, so that many caches'
+        // layers are worth keeping for reuse (`Engine::recycle`); more
+        // could only sit idle.
         engine
             .layer_pool()
-            .raise_bound((cfg.workers + cfg.decode_batch) * engine.model().n_layers());
+            .raise_bound((cfg.workers + 2 * cfg.decode_batch) * engine.model().n_layers());
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 queue: LaneQueue::new(cfg.queue_capacity.max(1), cfg.fair_burst.max(1)),
@@ -398,16 +428,16 @@ impl EngineService {
             stats: AtomicStats::default(),
             inflight: AtomicU64::new(0),
         });
-        let (batch_tx, decoder) = if cfg.decode_batch > 1 && cfg.workers > 0 {
-            let (tx, rx) = channel::unbounded();
+        // Bounded at the batch width: with the batch full and this many
+        // handoffs waiting, a worker blocks in `send` and stops popping the
+        // queue, so a full decoder backpressures admission.
+        let (batch_tx, batch_rx) = channel::bounded(cfg.decode_batch);
+        let decoder = (cfg.workers > 0).then(|| {
             let engine = engine.clone();
             let shared = shared.clone();
             let cap = cfg.decode_batch;
-            let handle = std::thread::spawn(move || decoder_loop(engine, shared, rx, cap));
-            (Some(tx), Some(handle))
-        } else {
-            (None, None)
-        };
+            std::thread::spawn(move || decoder_loop(engine, shared, batch_rx, cap))
+        });
         let workers = (0..cfg.workers)
             .map(|_| {
                 let engine = engine.clone();
@@ -566,7 +596,8 @@ fn note_deadline(
     }
 }
 
-fn worker_loop(engine: Engine, shared: Arc<Shared>, batch_tx: Option<Sender<DecodeHandoff>>) {
+fn worker_loop(engine: Engine, shared: Arc<Shared>, batch_tx: Sender<DecodeHandoff>) {
+    let obs = sched_obs();
     loop {
         let job = {
             let mut st = shared.state.lock().unwrap();
@@ -585,12 +616,11 @@ fn worker_loop(engine: Engine, shared: Arc<Shared>, batch_tx: Option<Sender<Deco
             }
         };
         let Some(job) = job else { return };
-        let obs = sched_obs();
         let queue_wait = job.enqueued.elapsed();
         obs.queue_wait.record_duration(queue_wait);
         // Bind this request's trace to the worker thread so the queue
-        // span, the serve span, and the engine's phase spans all land on
-        // one timeline (the guard unbinds when the request retires).
+        // span, the prefill span, and the engine's phase spans all land on
+        // one timeline (the guard unbinds once the request is handed off).
         let _trace = TraceContext::enter(job.request.trace, job.request.trace_parent);
         if job.request.trace != 0 {
             let end = cb_obs::now_nanos();
@@ -602,107 +632,34 @@ fn worker_loop(engine: Engine, shared: Arc<Shared>, batch_tx: Option<Sender<Deco
                 end,
             );
         }
+        let served_at = Instant::now();
         // If the client already dropped the stream, skip the blend — no
         // one is listening, and the lane is better spent on live requests.
         if job.tx.send(Event::Admitted).is_err() {
             note_deadline(&shared, obs, job.request.deadline, job.enqueued, None);
-            shared.stats.canceled.fetch_add(1, Ordering::Relaxed);
-            obs.canceled.inc();
-            shared.inflight.fetch_sub(1, Ordering::Relaxed);
+            shared.retire(&job.tx, served_at, None);
             continue;
         }
-        if let Some(batch_tx) = &batch_tx {
-            // Batched mode: this worker only runs the blend/prefill, then
-            // hands the sequence to the decoder thread. While the decoder
-            // steps other requests' tokens, this worker is already
-            // prefilling the next request — that overlap is the whole
-            // point of continuous batching.
-            let serve_span = Span::begin("prefill");
-            let served_at = Instant::now();
-            let mut first_token_at = None;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.prefill_streaming(&job.request, &mut |event| {
-                    if let Event::FirstToken(ttft) = &event {
-                        if first_token_at.is_none() {
-                            let now = Instant::now();
-                            first_token_at = Some(now);
-                            obs.ttft.record_duration(now.duration_since(job.enqueued));
-                            obs.ttft_load_wait.record_duration(ttft.load_wait);
-                            obs.ttft_recompute.record_duration(ttft.recompute);
-                            obs.ttft_precompute.record_duration(ttft.precompute);
-                        }
-                    }
-                    let _ = job.tx.send(event);
-                })
-            }))
-            .unwrap_or(Err(EngineError::Panicked));
-            note_deadline(
-                &shared,
-                obs,
-                job.request.deadline,
-                job.enqueued,
-                first_token_at,
-            );
-            serve_span.end();
-            match result {
-                Ok(prefilled) => {
-                    let handoff = DecodeHandoff {
-                        prefilled,
-                        tx: job.tx,
-                        served_at,
-                        first_token_at,
-                        trace: job.request.trace,
-                        trace_parent: job.request.trace_parent,
-                    };
-                    // The decoder owns the request from here: it
-                    // decrements inflight and sends the terminal event at
-                    // retire. A send can only fail during a shutdown race;
-                    // dropping the handoff closes the stream, which
-                    // clients observe as Canceled — same as a request
-                    // still queued at shutdown.
-                    if batch_tx.send(handoff).is_err() {
-                        shared.stats.canceled.fetch_add(1, Ordering::Relaxed);
-                        obs.canceled.inc();
-                        shared.inflight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(err) => {
-                    obs.request.record_duration(served_at.elapsed());
-                    shared.inflight.fetch_sub(1, Ordering::Relaxed);
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    obs.failed.inc();
-                    let _ = job.tx.send(Event::Failed(err));
-                }
-            }
-            continue;
-        }
-        let serve_span = Span::begin("serve");
-        let served_at = Instant::now();
+        // This worker only runs the blend/prefill, then hands the sequence
+        // to the decoder thread. While the decoder steps other requests'
+        // tokens, this worker is already prefilling the next request —
+        // that overlap is the whole point of continuous batching.
+        let prefill_span = Span::begin("prefill");
         let mut first_token_at = None;
-        let mut last_token_at: Option<Instant> = None;
-        // A panic anywhere in the blend/decode path must not kill the
-        // worker — that would silently shrink the pool and leave queued
-        // streams hanging. Contain it and fail only this request.
+        // A panic anywhere in the blend must not kill the worker — that
+        // would silently shrink the pool and leave queued streams hanging.
+        // Contain it and fail only this request.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.submit_streaming(&job.request, &mut |event| {
-                match &event {
-                    Event::FirstToken(ttft) if first_token_at.is_none() => {
+            engine.prefill_streaming(&job.request, &mut |event| {
+                if let Event::FirstToken(ttft) = &event {
+                    if first_token_at.is_none() {
                         let now = Instant::now();
                         first_token_at = Some(now);
-                        last_token_at = Some(now);
                         obs.ttft.record_duration(now.duration_since(job.enqueued));
                         obs.ttft_load_wait.record_duration(ttft.load_wait);
                         obs.ttft_recompute.record_duration(ttft.recompute);
                         obs.ttft_precompute.record_duration(ttft.precompute);
                     }
-                    Event::Token(_) => {
-                        let now = Instant::now();
-                        if let Some(prev) = last_token_at.replace(now) {
-                            obs.decode_token.record_duration(now.duration_since(prev));
-                        }
-                        obs.tokens.inc();
-                    }
-                    _ => {}
                 }
                 let _ = job.tx.send(event);
             })
@@ -715,28 +672,33 @@ fn worker_loop(engine: Engine, shared: Arc<Shared>, batch_tx: Option<Sender<Deco
             job.enqueued,
             first_token_at,
         );
-        obs.request.record_duration(served_at.elapsed());
-        serve_span.end();
-        // Decremented before the terminal event goes out: a client that
-        // observed Done/Failed must never still see the request in flight.
-        shared.inflight.fetch_sub(1, Ordering::Relaxed);
+        prefill_span.end();
         match result {
-            Ok(resp) => {
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                obs.completed.inc();
-                let _ = job.tx.send(Event::Done(resp));
+            Ok(prefilled) => {
+                let handoff = DecodeHandoff {
+                    prefilled,
+                    tx: job.tx,
+                    served_at,
+                    first_token_at,
+                    trace: job.request.trace,
+                    trace_parent: job.request.trace_parent,
+                };
+                // The decoder owns the request from here and retires it.
+                // The send blocks while the batch and the channel are both
+                // full, and fails only if the decoder thread is gone;
+                // dropping the handoff then closes the stream, which
+                // clients observe as Canceled.
+                if let Err(channel::SendError(h)) = batch_tx.send(handoff) {
+                    shared.retire(&h.tx, h.served_at, None);
+                }
             }
-            Err(err) => {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                obs.failed.inc();
-                let _ = job.tx.send(Event::Failed(err));
-            }
+            Err(err) => shared.retire(&job.tx, served_at, Some(Event::Failed(err))),
         }
     }
 }
 
 /// A prefilled request handed from a worker to the decoder thread, ready
-/// to join the continuous batch.
+/// to join the batch.
 struct DecodeHandoff {
     prefilled: Prefilled,
     tx: Sender<Event>,
@@ -746,12 +708,9 @@ struct DecodeHandoff {
     trace_parent: u64,
 }
 
-/// Per-sequence bookkeeping while a request decodes inside the shared
-/// batch.
+/// A handed-off request while it decodes inside the shared batch.
 struct DecodeCtx {
-    prefilled: Prefilled,
-    tx: Sender<Event>,
-    served_at: Instant,
+    h: DecodeHandoff,
     last_token_at: Instant,
     decode_started: Instant,
     decode_start_ns: u64,
@@ -759,70 +718,44 @@ struct DecodeCtx {
     /// spans can parent onto it before it is recorded at retire. Zero for
     /// untraced requests.
     decode_span: u64,
-    trace: u64,
-    trace_parent: u64,
 }
 
-fn admit_handoff(
-    engine: &Engine,
-    batch: &mut DecodeBatch,
-    slots: &mut HashMap<SeqId, DecodeCtx>,
-    mut h: DecodeHandoff,
-) {
-    // The cache moves into the batch slot; it moves back into the blend
-    // result at retire (with the answer's rows appended), so the response
-    // shape matches the sequential path exactly.
-    let cache = std::mem::replace(&mut h.prefilled.blend.cache, KvCache::empty(0, 0));
-    let sid = batch.admit(
-        engine.model(),
-        cache,
-        &h.prefilled.blend.last_residual,
-        h.prefilled.max_new_tokens,
-    );
-    let now = Instant::now();
-    let decode_span = if h.trace != 0 {
-        cb_obs::trace::alloc_span_id()
-    } else {
-        0
-    };
-    slots.insert(
-        sid,
-        DecodeCtx {
-            last_token_at: h.first_token_at.unwrap_or(now),
-            prefilled: h.prefilled,
-            tx: h.tx,
-            served_at: h.served_at,
-            decode_started: now,
-            decode_start_ns: cb_obs::now_nanos(),
-            decode_span,
-            trace: h.trace,
-            trace_parent: h.trace_parent,
-        },
-    );
-}
-
-/// The continuous-batching decode loop: one thread stepping every
-/// in-flight sequence together. Between steps it tops the batch up from
-/// the handoff channel — blocking only when the batch is empty, so a busy
-/// batch never stalls waiting for admissions. Exits when the channel
-/// disconnects (all workers gone) and the batch has drained.
+/// The decode loop: one thread stepping every in-flight sequence
+/// together. Between steps it tops the batch up from the handoff channel —
+/// blocking only when the batch is empty, so a busy batch never stalls
+/// waiting for admissions. Exits when the channel disconnects (all
+/// workers gone) and the batch has drained.
 fn decoder_loop(engine: Engine, shared: Arc<Shared>, rx: Receiver<DecodeHandoff>, cap: usize) {
     let obs = sched_obs();
     let mut batch = DecodeBatch::new();
     let mut slots: HashMap<SeqId, DecodeCtx> = HashMap::new();
     loop {
         while batch.len() < cap {
-            if batch.is_empty() {
-                match rx.recv() {
-                    Ok(h) => admit_handoff(&engine, &mut batch, &mut slots, h),
-                    Err(_) => return,
-                }
+            let next = if batch.is_empty() {
+                rx.recv().ok()
             } else {
-                match rx.try_recv() {
-                    Ok(h) => admit_handoff(&engine, &mut batch, &mut slots, h),
-                    Err(_) => break,
+                rx.try_recv().ok()
+            };
+            let Some(mut h) = next else {
+                if batch.is_empty() {
+                    return;
                 }
-            }
+                break;
+            };
+            let sid = h.prefilled.admit(engine.model(), &mut batch);
+            let now = Instant::now();
+            let ctx = DecodeCtx {
+                last_token_at: h.first_token_at.unwrap_or(now),
+                decode_started: now,
+                decode_start_ns: cb_obs::now_nanos(),
+                decode_span: if h.trace != 0 {
+                    cb_obs::trace::alloc_span_id()
+                } else {
+                    0
+                },
+                h,
+            };
+            slots.insert(sid, ctx);
         }
         obs.batch_occupancy.set(batch.len() as f64);
         let step_started = Instant::now();
@@ -840,7 +773,7 @@ fn decoder_loop(engine: Engine, shared: Arc<Shared>, rx: Receiver<DecodeHandoff>
                     .record_duration(now.duration_since(ctx.last_token_at));
                 ctx.last_token_at = now;
                 obs.tokens.inc();
-                let _ = ctx.tx.send(Event::Token(token));
+                let _ = ctx.h.tx.send(Event::Token(token));
             })
         }));
         obs.decode_step.record_duration(step_started.elapsed());
@@ -849,10 +782,8 @@ fn decoder_loop(engine: Engine, shared: Arc<Shared>, rx: Receiver<DecodeHandoff>
             Err(_) => {
                 batch = DecodeBatch::new();
                 for (_, ctx) in slots.drain() {
-                    shared.inflight.fetch_sub(1, Ordering::Relaxed);
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    obs.failed.inc();
-                    let _ = ctx.tx.send(Event::Failed(EngineError::Panicked));
+                    let failed = Some(Event::Failed(EngineError::Panicked));
+                    shared.retire(&ctx.h.tx, ctx.h.served_at, failed);
                 }
                 obs.batch_occupancy.set(0.0);
                 continue;
@@ -864,9 +795,9 @@ fn decoder_loop(engine: Engine, shared: Arc<Shared>, rx: Receiver<DecodeHandoff>
         // this step are still in `slots` here, so their last step is
         // covered too.
         for ctx in slots.values() {
-            if ctx.trace != 0 {
+            if ctx.h.trace != 0 {
                 cb_obs::trace::record_span(
-                    ctx.trace,
+                    ctx.h.trace,
                     ctx.decode_span,
                     "decode.step",
                     step_start_ns,
@@ -878,41 +809,18 @@ fn decoder_loop(engine: Engine, shared: Arc<Shared>, rx: Receiver<DecodeHandoff>
             let Some(ctx) = slots.remove(&sid) else {
                 continue;
             };
-            let Prefilled {
-                mut blend,
-                mut ttft,
-                recompute_ratio,
-                chunk_sources,
-                started,
-                max_new_tokens: _,
-            } = ctx.prefilled;
-            blend.cache = fin.cache;
-            ttft.decode = ctx.decode_started.elapsed();
-            ttft.total = started.elapsed();
-            let resp = Response {
-                answer: fin.tokens,
-                blend,
-                ttft,
-                recompute_ratio,
-                chunk_sources,
-            };
-            if ctx.trace != 0 {
+            let resp = ctx.h.prefilled.finish(fin, ctx.decode_started);
+            if ctx.h.trace != 0 {
                 cb_obs::trace::record_span_with_id(
-                    ctx.trace,
+                    ctx.h.trace,
                     ctx.decode_span,
-                    ctx.trace_parent,
+                    ctx.h.trace_parent,
                     "decode",
                     ctx.decode_start_ns,
                     cb_obs::now_nanos(),
                 );
             }
-            obs.request.record_duration(ctx.served_at.elapsed());
-            // Decremented before the terminal event goes out, matching
-            // the sequential path's guarantee.
-            shared.inflight.fetch_sub(1, Ordering::Relaxed);
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            obs.completed.inc();
-            let _ = ctx.tx.send(Event::Done(resp));
+            shared.retire(&ctx.h.tx, ctx.h.served_at, Some(Event::Done(resp)));
         }
         if batch.is_empty() {
             obs.batch_occupancy.set(0.0);
@@ -924,7 +832,7 @@ fn decoder_loop(engine: Engine, shared: Arc<Shared>, rx: Receiver<DecodeHandoff>
 mod tests {
     use super::*;
     use crate::engine::EngineBuilder;
-    use cb_model::ModelProfile;
+    use cb_model::{KvCache, ModelProfile};
     use cb_tokenizer::TokenKind::*;
 
     #[test]
@@ -1263,28 +1171,32 @@ mod tests {
 
     #[test]
     fn batched_service_preserves_event_order_and_matches_sequential_answers() {
-        let seq = service(1, 16);
         let bat = batched_service(2, 16, 4);
         let n = 6;
-        let seq_reqs = fact_requests(&seq, n);
-        let bat_reqs = fact_requests(&bat, n);
-        let seq_resps: Vec<_> = seq_reqs
-            .into_iter()
+        let reqs = fact_requests(&bat, n);
+        // Sequential reference: the same blend, decoded by
+        // `Model::decode_greedy` instead of the service's batch.
+        let engine = bat.engine();
+        let seq: Vec<(Vec<_>, KvCache)> = reqs
+            .iter()
             .map(|(r, want)| {
-                let resp = seq.submit(r).unwrap();
-                assert_eq!(resp.answer, vec![want]);
-                resp
+                let mut p = engine.prefill_streaming(r, &mut |_| {}).unwrap();
+                let answer = engine.model().decode_greedy(
+                    &mut p.blend.cache,
+                    &p.blend.last_residual,
+                    p.max_new_tokens,
+                );
+                assert_eq!(answer, vec![*want]);
+                (answer, p.blend.cache)
             })
             .collect();
         // Submit everything up front so requests genuinely share the
         // batch, then drain each stream.
-        let streams: Vec<_> = bat_reqs
+        let streams: Vec<_> = reqs
             .iter()
             .map(|(r, _)| bat.submit_stream(r.clone()))
             .collect();
-        for (stream, ((_, want), seq_resp)) in
-            streams.into_iter().zip(bat_reqs.iter().zip(&seq_resps))
-        {
+        for (stream, (seq_answer, seq_cache)) in streams.into_iter().zip(&seq) {
             let mut events = Vec::new();
             for e in stream {
                 events.push(e);
@@ -1303,16 +1215,39 @@ mod tests {
                 panic!("missing terminal Done: {events:?}");
             };
             assert_eq!(tokens, resp.answer, "streamed tokens match the answer");
-            assert_eq!(resp.answer, vec![*want]);
+            assert_eq!(&resp.answer, seq_answer);
             // Bit-identity at the service level: the batched response's
             // cache (prompt + answer rows) equals the sequential one's.
-            assert_eq!(resp.blend.cache, seq_resp.blend.cache);
+            assert_eq!(&resp.blend.cache, seq_cache);
         }
         let st = bat.stats();
         assert_eq!((st.completed, st.failed), (n as u64, 0));
         let p = bat.probe();
         assert_eq!(p.inflight, 0);
         assert_eq!(p.load(), 0);
+    }
+
+    #[test]
+    fn two_workers_feeding_a_batch_of_one_answer_like_submit() {
+        // A batch of one behind a one-slot handoff: while one sequence
+        // decodes and one waits in the channel, the other worker blocks in
+        // its handoff and the rest of the 8 streams queue. Every stream
+        // must still answer exactly like `Engine::submit`.
+        let s = batched_service(2, 16, 1);
+        let reqs = fact_requests(&s, 8);
+        let streams: Vec<_> = reqs
+            .iter()
+            .map(|(r, _)| s.submit_stream(r.clone()))
+            .collect();
+        for (stream, (r, want)) in streams.into_iter().zip(&reqs) {
+            let resp = stream.collect().unwrap();
+            let direct = s.engine().submit(r.clone()).unwrap();
+            assert_eq!(resp.answer, vec![*want]);
+            assert_eq!(resp.answer, direct.answer);
+            assert_eq!(resp.blend.cache, direct.blend.cache);
+        }
+        assert_eq!(s.stats().completed, 8);
+        assert_eq!(s.probe().inflight, 0);
     }
 
     #[test]
@@ -1327,15 +1262,10 @@ mod tests {
         let k_bufs = |c: &KvCache| -> Vec<*const f32> {
             c.layers.iter().map(|l| l.k.as_slice().as_ptr()).collect()
         };
-        let prefilled = engine.prefill_streaming(&request, &mut |_| {}).unwrap();
+        let mut prefilled = engine.prefill_streaming(&request, &mut |_| {}).unwrap();
         let blended = k_bufs(&prefilled.blend.cache);
         let mut batch = DecodeBatch::new();
-        batch.admit(
-            engine.model(),
-            prefilled.blend.cache,
-            &prefilled.blend.last_residual,
-            prefilled.max_new_tokens,
-        );
+        prefilled.admit(engine.model(), &mut batch);
         let fin = loop {
             if let Some((_, fin)) = batch.step(engine.model(), &mut |_, _| {}).pop() {
                 break fin;

@@ -3,8 +3,9 @@
 //!
 //! [`KvStore::prefetch`] starts a read *without* waiting for the bytes:
 //!
-//! - A RAM-tier hit wraps the in-memory bytes in an [`EntryReader`] —
-//!   layers decode on demand, nothing to overlap.
+//! - A RAM-tier hit wraps the in-memory bytes in an
+//!   [`EntryReader`](crate::serialize::EntryReader) — layers decode on
+//!   demand, nothing to overlap.
 //! - A persistent-tier hit spawns a reader thread that streams the entry
 //!   off the backend one layer block at a time through a bounded channel
 //!   (capacity 2). The device read of layer `i+1` proceeds while the

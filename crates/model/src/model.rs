@@ -579,41 +579,17 @@ impl Model {
     ///
     /// Decoding stops at `max_tokens` or at the first non-[`TokenKind::Value`]
     /// token (answers in the structured vocabulary are value sequences).
+    ///
+    /// This is the sequential reference: serving decodes through
+    /// [`DecodeBatch`](crate::DecodeBatch), which is bit-identical to it.
     pub fn decode_greedy(
         &self,
         cache: &mut KvCache,
         last_residual: &[f32],
         max_tokens: usize,
     ) -> Vec<TokenId> {
-        self.decode_greedy_with(cache, last_residual, max_tokens, &mut |_| {})
-    }
-
-    /// [`Model::decode_greedy`] with a per-token callback: `on_token` fires
-    /// as each answer token is committed (before its forward pass extends
-    /// the cache), which lets callers stream tokens out while decoding.
-    pub fn decode_greedy_with(
-        &self,
-        cache: &mut KvCache,
-        last_residual: &[f32],
-        max_tokens: usize,
-        on_token: &mut dyn FnMut(TokenId),
-    ) -> Vec<TokenId> {
-        let mut scratch = Scratch::new();
-        self.decode_greedy_scratch(cache, last_residual, max_tokens, &mut scratch, on_token)
-    }
-
-    /// [`Model::decode_greedy_with`] on a caller-provided arena. Cache and
-    /// scratch capacity are reserved up front, so the steady-state loop
-    /// performs zero heap allocations per decoded token.
-    pub fn decode_greedy_scratch(
-        &self,
-        cache: &mut KvCache,
-        last_residual: &[f32],
-        max_tokens: usize,
-        scratch: &mut Scratch,
-        on_token: &mut dyn FnMut(TokenId),
-    ) -> Vec<TokenId> {
         let mut out = Vec::with_capacity(max_tokens);
+        let mut scratch = Scratch::new();
         cache.reserve(max_tokens);
         scratch.reserve_decode(
             self.cfg.n_heads,
@@ -624,8 +600,7 @@ impl Model {
         self.logits_into(last_residual, &mut scratch.logits_in, &mut scratch.logits);
         // Position is loop-carried state, derived from the cache exactly
         // once: re-reading `positions.last()` per token would couple every
-        // step to whatever else mutates the cache (the batched decode path
-        // interleaves many sequences' appends).
+        // step to whatever else mutates the cache.
         let pos0 = cache.positions.last().map(|&p| p + 1).unwrap_or(0);
         for pos in pos0..pos0 + max_tokens {
             let next = ops::argmax(scratch.logits.row(0)) as TokenId;
@@ -633,8 +608,7 @@ impl Model {
                 break;
             }
             out.push(next);
-            on_token(next);
-            self.forward_rows_with(&[next], &[pos], cache, None, scratch);
+            self.forward_rows_with(&[next], &[pos], cache, None, &mut scratch);
             self.logits_into(
                 scratch.x.row(0),
                 &mut scratch.logits_in,

@@ -47,7 +47,7 @@
 //! and frames still arriving from a superseded connection are dropped.
 //!
 //! **Mid-stream retry is client-invisible.** Every routed request is
-//! journaled ([`Pending`]: the request body plus a
+//! journaled (`Pending`: the request body plus a
 //! [`ReplayFilter`] recording the delivered event prefix). When the
 //! serving worker dies mid-stream — or fails the request with a
 //! [retryable](ErrorCode::retryable) code — the gateway re-submits to

@@ -1,5 +1,5 @@
 //! The warm-standby half of gateway survivability: a [`Standby`]
-//! subscribes to a primary [`Gateway`](crate::gateway::Gateway)'s
+//! subscribes to a primary [`Gateway`]'s
 //! replication feed, mirrors everything a takeover needs, and converts
 //! itself into a live gateway when the primary dies.
 //!

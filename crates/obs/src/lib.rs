@@ -43,7 +43,7 @@
 //!
 //! # Turning it off
 //!
-//! [`set_enabled(false)`] short-circuits every metric update, span record,
+//! [`set_enabled(false)`](set_enabled) short-circuits every metric update, span record,
 //! and log write at one relaxed atomic load. Compiling with the `noop`
 //! feature removes the bodies entirely (the floor the BENCH_obs overhead
 //! guard is budgeted against).

@@ -299,8 +299,10 @@ impl EngineBackend {
     }
 
     /// The standard closed-loop configuration: a fresh engine for
-    /// `profile` behind a **single-worker** service — one serially-busy
-    /// worker, matching the simulator's single-GPU queueing model.
+    /// `profile` behind a **single-worker** service — one prefill worker
+    /// feeding the default-width decode batch. [`ServingBackend::serve`]
+    /// waits for each request to finish before sending the next, so the
+    /// closed loop still matches the simulator's single-GPU queueing model.
     pub fn single_worker(profile: cb_model::ModelProfile) -> Self {
         let engine = cb_core::engine::EngineBuilder::new(profile)
             .build()
@@ -410,7 +412,7 @@ impl EngineBackend {
     /// full-prefill time.
     ///
     /// The probe's chunks are built from `Filler` tokens, which
-    /// [`Self::chunk_tokens`] never emits, so no workload id can alias a
+    /// `chunk_tokens` never emits, so no workload id can alias a
     /// probe chunk's content hash — a later run's cold-start behavior is
     /// untouched.
     pub fn warm_service_time_s(&mut self) -> f64 {

@@ -1,6 +1,6 @@
 //! Storage backends: where serialized KV bytes physically live.
 //!
-//! The tiered [`cb-kv::KvStore`] tracks *which* entry sits on *which* tier
+//! The tiered `cb_kv::store::KvStore` tracks *which* entry sits on *which* tier
 //! and when to spill/promote; a [`StorageBackend`] answers only "hold these
 //! bytes under this key" for one tier. Two implementations ship:
 //!

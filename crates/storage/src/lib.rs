@@ -29,7 +29,7 @@
 //!   the RAM implementation.
 //! - [`segment_log`] — the persistent backend: append-only segment logs,
 //!   group commit, startup replay with torn-tail and mid-log recovery.
-//! - [`compact`] — background compaction for the segment log.
+//! - `compact` (crate-private) — background compaction for the segment log.
 
 pub mod backend;
 pub mod checksum;

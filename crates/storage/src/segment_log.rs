@@ -43,8 +43,8 @@
 //! is how the storage benchmarks sweep the §5.2 device grid on one
 //! machine.
 //!
-//! **Background compaction** ([`crate::compact`]) rewrites the live
-//! records of tombstone-heavy sealed logs into a fresh log
+//! **Background compaction** (the crate-private `compact` module)
+//! rewrites the live records of tombstone-heavy sealed logs into a fresh log
 //! (temp-file + rename, crash-safe at every step) and deletes the victim,
 //! reclaiming dead bytes. See the `compact` module docs for the replay-
 //! ordering argument.

@@ -25,7 +25,7 @@
 //!   products are split across the crate's [`crate::pool`] thread pool by
 //!   disjoint output-row ranges.
 //! - **Attention scores** ([`Matrix::matmul_transposed_block_limited_into`]
-//!   and friends): per element, [`dot1`]'s 16 lane accumulators of fused
+//!   and friends): per element, `dot1`'s 16 lane accumulators of fused
 //!   products from `+0.0`, summed in lane order, plus the unfused tail
 //!   dims. Two paths produce those bits. With at least
 //!   [`SCORE_TILE_MIN_ROWS`] query rows the keys are laid out as
@@ -63,7 +63,7 @@ const LANES: usize = 16;
 /// Column pairs computed together by the transposed kernel.
 const JB: usize = 2;
 /// Query rows from which the causal score kernel lays the keys out as
-/// [`KeyPanels`] and runs [`SQ`] × [`SK`] tiles. Below it (decode's single
+/// [`KeyPanels`] and runs `SQ` × `SK` (4 × 16) tiles. Below it (decode's single
 /// row) the layout costs more than the tiles save, so the dot kernel runs.
 pub const SCORE_TILE_MIN_ROWS: usize = 16;
 /// Query rows of a score tile.
@@ -1142,7 +1142,7 @@ fn gemm_tile<const R: usize, const C: usize>(
 }
 
 /// Keys laid out for the tiled attention-score kernel: `Kᵀ` cut into
-/// panels of [`SK`] keys. Panel `p` holds keys `p·SK..(p + 1)·SK` as
+/// panels of `SK` (16) keys. Panel `p` holds keys `p·SK..(p + 1)·SK` as
 /// `width` rows of `SK` values (row `d` is dim `d` of those keys), so a
 /// score tile reads one contiguous block; the last panel is zero-padded.
 /// Packing once per attention call serves every head.

@@ -54,7 +54,7 @@ fn exp_fast(x: f32) -> f32 {
 /// Numerically stable softmax over `row[..live]`, with `row[live..]`
 /// forced to exactly zero — the blocked attention path's softmax: the
 /// causally masked tail is never exponentiated at all, and the live
-/// prefix uses the vectorized [`exp_fast`]. An all-masked (`live == 0`)
+/// prefix uses the vectorized `exp_fast`. An all-masked (`live == 0`)
 /// row becomes all zeros, matching [`softmax_row`].
 pub fn softmax_prefix_fast(row: &mut [f32], live: usize) {
     let (head, tail) = row.split_at_mut(live);

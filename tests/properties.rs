@@ -406,6 +406,21 @@ fn scheduler_fixture(
     Vec<cacheblend::kv::ChunkId>,
     Vec<u32>,
 ) {
+    scheduler_fixture_with(
+        cacheblend::scheduler::ServiceConfig::default()
+            .workers(workers)
+            .queue_capacity(capacity),
+    )
+}
+
+/// [`scheduler_fixture`] under an explicit service configuration.
+fn scheduler_fixture_with(
+    cfg: cacheblend::scheduler::ServiceConfig,
+) -> (
+    cacheblend::scheduler::EngineService,
+    Vec<cacheblend::kv::ChunkId>,
+    Vec<u32>,
+) {
     use cacheblend::prelude::*;
     let engine = EngineBuilder::new(ModelProfile::Tiny).build().unwrap();
     let v = engine.model().cfg.vocab.clone();
@@ -428,13 +443,7 @@ fn scheduler_fixture(
         v.id(TokenKind::Attr(3)),
         v.id(TokenKind::QMark),
     ];
-    let service = cacheblend::scheduler::EngineService::new(
-        engine,
-        cacheblend::scheduler::ServiceConfig::default()
-            .workers(workers)
-            .queue_capacity(capacity),
-    );
-    (service, ids, q)
+    (EngineService::new(engine, cfg), ids, q)
 }
 
 /// Every stream's events arrive in lifecycle order:
@@ -600,22 +609,41 @@ fn scheduler_backpressure_returns_queue_full() {
 }
 
 /// `submit_stream(..).collect()` is the one-shot `Engine::submit`: same
-/// answer, ratio, provenance, and blend shape for the same request.
+/// answer, cache, ratio, provenance, and blend shape for the same request,
+/// at decode-batch widths 1 and 8 with 1 or 3 workers.
 #[test]
 fn scheduler_collect_equals_one_shot_submit() {
     use cacheblend::prelude::*;
-    let (service, ids, q) = scheduler_fixture(2, 16);
-    let mut rng = SmallRng::seed_from_u64(0xC0_11EC);
-    for case in 0..6 {
-        let req = Request::new(ids.clone(), q.clone())
-            .ratio(0.25 + 0.15 * rng.random_range(0u32..4) as f32)
-            .max_new_tokens(rng.random_range(1usize..6));
-        let direct = service.engine().submit(req.clone()).unwrap();
-        let streamed = service.submit_stream(req).collect().unwrap();
-        assert_eq!(streamed.answer, direct.answer, "case {case}");
-        assert_eq!(streamed.recompute_ratio, direct.recompute_ratio);
-        assert_eq!(streamed.chunk_sources, direct.chunk_sources);
-        assert_eq!(streamed.blend.stats.ctx_len, direct.blend.stats.ctx_len);
+    for (workers, width) in [(1, 1), (1, 8), (3, 1), (3, 8)] {
+        let (service, ids, q) = scheduler_fixture_with(
+            ServiceConfig::default()
+                .workers(workers)
+                .queue_capacity(16)
+                .decode_batch(width),
+        );
+        let mut rng = SmallRng::seed_from_u64(0xC0_11EC);
+        let reqs: Vec<_> = (0..6)
+            .map(|_| {
+                Request::new(ids.clone(), q.clone())
+                    .ratio(0.25 + 0.15 * rng.random_range(0u32..4) as f32)
+                    .max_new_tokens(rng.random_range(1usize..6))
+            })
+            .collect();
+        // Submitted together, so the wider batch holds several at once.
+        let streams: Vec<_> = reqs
+            .iter()
+            .map(|r| service.submit_stream(r.clone()))
+            .collect();
+        for (case, (req, stream)) in reqs.into_iter().zip(streams).enumerate() {
+            let streamed = stream.collect().unwrap();
+            let direct = service.engine().submit(req).unwrap();
+            let at = format!("workers {workers}, width {width}, case {case}");
+            assert_eq!(streamed.answer, direct.answer, "{at}");
+            assert_eq!(streamed.blend.cache, direct.blend.cache, "{at}");
+            assert_eq!(streamed.recompute_ratio, direct.recompute_ratio, "{at}");
+            assert_eq!(streamed.chunk_sources, direct.chunk_sources, "{at}");
+            assert_eq!(streamed.blend.stats.ctx_len, direct.blend.stats.ctx_len);
+        }
     }
 }
 
