@@ -322,7 +322,9 @@ impl Model {
                     mask_bias_softmax_general(&mut hs.scores, q_pos, k_pos, head.bias);
                 }
             }
-            hs.scores.matmul_cols_into(v_all, lo, hi, &mut hs.ctx);
+            // The causal cuts bound the context product too: each row tile
+            // packs only the keys below its rows' largest cut.
+            hs.scores.matmul_cols_into(v_all, lo, hi, cuts, &mut hs.ctx);
             hs.ctx.matmul_into(&head.wo, &mut hs.delta);
         };
 

@@ -1,20 +1,25 @@
 //! Row-major dense f32 matrix and matmul kernels.
 //!
-//! The kernels are portable Rust that the compiler vectorizes; none
-//! reassociates floating-point arithmetic, so every output element has
-//! one fixed evaluation order, and that order — not the loop structure
-//! around it — is each kernel's contract:
+//! The kernels are portable Rust that the compiler vectorizes, plus two
+//! AVX-512 tiles (module `zmm`) that builds targeting AVX-512F compile
+//! in, because LLVM tunes the portable tiles to half-width `ymm` code on
+//! such hosts. None reassociates floating-point arithmetic, so every
+//! output element has one fixed evaluation order, and that order — not
+//! the loop structure or vector width around it — is each kernel's
+//! contract:
 //!
 //! - **GEMM** ([`Matrix::matmul`], [`Matrix::matmul_into`],
 //!   [`Matrix::matmul_cols_into`]): a register tile of 6 output rows × 32
-//!   columns keeps its accumulators in registers for the whole `k` loop
-//!   and stores them once; the rows past the last full tile run as one
-//!   tile of height `m % 6`, and column tails as 8-wide, then 1-wide
-//!   tiles. A single remaining row (a decode step's product) is an AXPY
-//!   over the output row instead: it streams the weights row by row, which
-//!   is faster when they come from L3. Per element: start at `+0.0`, then
-//!   `acc = b.mul_add(a, acc)`
-//!   over the participating `k` in ascending order, skipping a `k` at
+//!   columns (64 in `zmm` tiles) keeps its accumulators in registers for
+//!   the whole `k` loop and stores them once; the rows past the last full
+//!   tile run as one tile of height `m % 6`, and the columns past the
+//!   wide tiles as 32-wide, 8-wide, then 1-wide tiles. Per-row limits
+//!   (the context product's causal cuts) end a tile's `k` loop at its
+//!   rows' largest limit. A single remaining row (a decode step's
+//!   product) is an AXPY over the output row instead: it streams the
+//!   weights row by row, which is faster when they come from L3. Per
+//!   element: start at `+0.0`, then `acc = b.mul_add(a, acc)` over the
+//!   participating `k` in ascending order, skipping a `k` at
 //!   which the tile's whole `a` column is zero (exact: it adds `±0.0`).
 //!   Since no step depends on the tile shape, the result is bit-identical
 //!   for every shape, row partition and thread count. A one-time density
@@ -30,7 +35,8 @@
 //!   dims. Two paths produce those bits. With at least
 //!   [`SCORE_TILE_MIN_ROWS`] query rows the keys are laid out as
 //!   [`KeyPanels`] (`Kᵀ` in 16-key panels) and tiles of 4 query rows × 16
-//!   keys hold one lane's accumulators for 16 keys side by side; below it
+//!   keys (two panels in `zmm` tiles, when the head dim is a multiple of
+//!   16) hold one lane's accumulators for 16 keys side by side; below it
 //!   (decode's single row) the dot kernel runs, because the layout would
 //!   cost more than the tiles save.
 //! - **Reference kernels** ([`Matrix::matmul_reference`],
@@ -52,9 +58,11 @@ use crate::pool;
 
 /// Rows of the GEMM register tile.
 const MR: usize = 6;
-/// Columns of the GEMM register tile. At 8 lanes a vector, the 6 × 32
-/// accumulators take 24 of the 32 vector registers AVX-512VL offers,
-/// leaving room for the four `b` vectors and a broadcast `a`.
+/// Columns of the portable GEMM register tile. Compiled to 8-lane `ymm`
+/// vectors, the 6 × 32 accumulators take 24 of the 32 vector registers
+/// AVX-512VL offers, leaving room for the four `b` vectors and a
+/// broadcast `a`. AVX-512 builds run 64-column `zmm` tiles first, and
+/// this tile on the columns left over.
 const NR: usize = 32;
 /// Width of the GEMM's column-tail tile (one 8-lane vector).
 const NR_TAIL: usize = 8;
@@ -338,17 +346,19 @@ impl Matrix {
     }
 
     /// The cached one-time density probe (one scan computes both axes).
+    /// The scan is branch-free so it vectorizes: a blend's residuals and
+    /// context products change every layer, so each of their products
+    /// probes afresh.
     fn density(&self) -> &DensityProfile {
         self.profile.get_or_init(|| {
             let mut nz_rows = Vec::new();
             let mut col_has = vec![false; self.cols];
             for r in 0..self.rows {
                 let mut any = false;
-                for (c, &v) in self.row(r).iter().enumerate() {
-                    if v != 0.0 {
-                        any = true;
-                        col_has[c] = true;
-                    }
+                for (h, &v) in col_has.iter_mut().zip(self.row(r)) {
+                    let nz = v != 0.0;
+                    *h |= nz;
+                    any |= nz;
                 }
                 if any {
                     nz_rows.push(r as u32);
@@ -405,12 +415,34 @@ impl Matrix {
         // Check the size threshold before touching the global pool: tiny
         // products (every decode-step matmul) skip the RwLock/Arc traffic.
         if m < PAR_MIN_ROWS {
-            gemm_block(&self.data, kdim, &rhs.data, n, 0, &mut out.data, m, n, &ks);
+            gemm_block(
+                &self.data,
+                kdim,
+                &rhs.data,
+                n,
+                0,
+                &mut out.data,
+                m,
+                n,
+                &ks,
+                None,
+            );
             return;
         }
         let pool = pool::current();
         if pool.threads() <= 1 {
-            gemm_block(&self.data, kdim, &rhs.data, n, 0, &mut out.data, m, n, &ks);
+            gemm_block(
+                &self.data,
+                kdim,
+                &rhs.data,
+                n,
+                0,
+                &mut out.data,
+                m,
+                n,
+                &ks,
+                None,
+            );
             return;
         }
         // Whole register tiles per chunk, so only the last chunk runs a
@@ -429,7 +461,7 @@ impl Matrix {
                 let a_part = &a[lo * kdim..(lo + rows) * kdim];
                 let ks = pick_kset(self.density(), rhs.density(), kdim);
                 let job: pool::Job<'_> = Box::new(move || {
-                    gemm_block(a_part, kdim, b, n, 0, o, rows, n, &ks);
+                    gemm_block(a_part, kdim, b, n, 0, o, rows, n, &ks, None);
                 });
                 job
             })
@@ -440,9 +472,31 @@ impl Matrix {
     /// `self × rhs[:, lo..hi]` written into `out` — the right-hand operand
     /// is a column block viewed in place (no copy). This is the attention
     /// context kernel `P × V_h` over a head's columns.
-    pub fn matmul_cols_into(&self, rhs: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
+    ///
+    /// With `limits`, row `i` of `self` reads as zero from column
+    /// `limits[i]` on: the causal cut of a probability row whose tail is
+    /// exact `0.0` already. Each register tile then packs and runs only
+    /// the `k` below its rows' largest limit; since the GEMM contract drops
+    /// a `k` at which the tile's `a` column is zero anyway, the bits are
+    /// those of the product without limits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes mismatch, the block is out of range or
+    /// `limits` does not hold one limit per row.
+    pub fn matmul_cols_into(
+        &self,
+        rhs: &Matrix,
+        lo: usize,
+        hi: usize,
+        limits: Option<&[usize]>,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.cols, rhs.rows, "matmul_cols shape mismatch");
         assert!(lo <= hi && hi <= rhs.cols);
+        if let Some(l) = limits {
+            assert_eq!(l.len(), self.rows, "one limit per row");
+        }
         out.resize_dirty(self.rows, hi - lo);
         if self.rows == 0 || hi == lo {
             return;
@@ -457,6 +511,7 @@ impl Matrix {
             self.rows,
             hi - lo,
             &KSet::All(self.cols),
+            limits,
         );
     }
 
@@ -971,8 +1026,9 @@ fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
 
 /// The operands of one [`gemm_block`] call: `a` is row-major with row
 /// stride `lda`, `b` is viewed through row stride `ldb` at column offset
-/// `bcol`, the output is contiguous with `n` columns, and `ks` selects the
-/// participating `k`.
+/// `bcol`, the output is contiguous with `n` columns, `ks` selects the
+/// participating `k`, and `limits` (one per row of `a`) cuts row `i` of
+/// `a` to its first `limits[i]` columns.
 struct Gemm<'a> {
     a: &'a [f32],
     lda: usize,
@@ -981,6 +1037,24 @@ struct Gemm<'a> {
     bcol: usize,
     n: usize,
     ks: &'a KSet<'a>,
+    limits: Option<&'a [usize]>,
+}
+
+impl Gemm<'_> {
+    /// The `k` of `ks` below `end`, as a count of `ks`' leading entries
+    /// (both `KSet` forms list `k` in ascending order).
+    fn ks_below(&self, end: usize) -> usize {
+        match *self.ks {
+            KSet::All(kdim) => kdim.min(end),
+            KSet::List(list) => list.partition_point(|&k| (k as usize) < end),
+        }
+    }
+
+    /// Row `i`'s column limit (`usize::MAX` without limits).
+    #[inline(always)]
+    fn limit(&self, i: usize) -> usize {
+        self.limits.map_or(usize::MAX, |l| l[i])
+    }
 }
 
 /// The GEMM core: `out[m × n] = a[m × kdim] × b[·, bcol..bcol+n]` over
@@ -1003,6 +1077,7 @@ fn gemm_block(
     m: usize,
     n: usize,
     ks: &KSet<'_>,
+    limits: Option<&[usize]>,
 ) {
     let g = Gemm {
         a,
@@ -1012,11 +1087,9 @@ fn gemm_block(
         bcol,
         n,
         ks,
+        limits,
     };
-    let nk = match *ks {
-        KSet::All(kdim) => kdim,
-        KSet::List(list) => list.len(),
-    };
+    let nk = g.ks_below(usize::MAX);
     // A single row packs nothing (see `gemm_row`).
     let (mut panel, mut live) = match m {
         1 => (Vec::new(), Vec::new()),
@@ -1043,8 +1116,10 @@ fn gemm_block(
 /// Packs the rows' `a` values at each `k` of `ks` side by side in `panel`,
 /// keeping only the `k` at which some row is non-zero (`live`), so the
 /// zero skip runs once per row tile instead of once per column tile, and
-/// the tiles' inner loop reads `a` contiguously. Then [`NR`]-wide column
-/// tiles, [`NR_TAIL`]-wide, and single columns.
+/// the tiles' inner loop reads `a` contiguously. Packing stops at the
+/// rows' largest limit, and reads a row as zero past its own. Then
+/// 64-column `zmm` tiles where the build targets AVX-512, [`NR`]-wide
+/// column tiles, [`NR_TAIL`]-wide, and single columns.
 fn gemm_row_tile<const R: usize>(
     g: &Gemm<'_>,
     i: usize,
@@ -1054,19 +1129,28 @@ fn gemm_row_tile<const R: usize>(
 ) {
     let (panel, _) = panel[..R * live.len()].as_chunks_mut::<R>();
     let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * g.lda..(i + r + 1) * g.lda]);
+    let lim: [usize; R] = std::array::from_fn(|r| g.limit(i + r));
+    let nk = g.ks_below(lim.iter().copied().max().unwrap_or(0));
     let mut n_live = 0;
-    for idx in 0..live.len() {
+    for idx in 0..nk {
         let k = match *g.ks {
             KSet::All(_) => idx,
             KSet::List(list) => list[idx] as usize,
         };
-        let av: [f32; R] = std::array::from_fn(|r| rows[r][k]);
+        let av: [f32; R] = std::array::from_fn(|r| if k < lim[r] { rows[r][k] } else { 0.0 });
         panel[n_live] = av;
         live[n_live] = k as u32;
         n_live += usize::from(av.iter().any(|&x| x != 0.0));
     }
     let (panel, live) = (&panel[..n_live], &live[..n_live]);
     let mut j = 0;
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    while j + zmm::NR <= g.n {
+        // SAFETY: this loop is compiled only into builds that target
+        // AVX-512F, which run only on CPUs that have it.
+        unsafe { zmm::gemm_tile::<R>(g, panel, live, j, out) };
+        j += zmm::NR;
+    }
     while j + NR <= g.n {
         gemm_tile::<R, NR>(g, panel, live, j, out);
         j += NR;
@@ -1098,9 +1182,10 @@ fn gemm_row(g: &Gemm<'_>, i: usize, out: &mut [f32]) {
             }
         }
     };
+    let nk = g.ks_below(g.limit(i));
     match *g.ks {
-        KSet::All(kdim) => (0..kdim).for_each(axpy),
-        KSet::List(list) => list.iter().for_each(|&k| axpy(k as usize)),
+        KSet::All(_) => (0..nk).for_each(axpy),
+        KSet::List(list) => list[..nk].iter().for_each(|&k| axpy(k as usize)),
     }
 }
 
@@ -1208,7 +1293,8 @@ struct Scores<'a> {
 /// dim by dim into `panel`, runs key tiles up to the largest limit of the
 /// `R` rows (the last one stores only the keys below it), then writes each
 /// row's exact-zero tail, which also overwrites what the shared tiles
-/// computed past a smaller limit.
+/// computed past a smaller limit. AVX-512 builds run the key tiles in
+/// `zmm` registers when the head dim is whole 16-lane chunks.
 fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32], out: &mut [f32]) {
     let jn = job.keys.keys;
     let (qt, _) = panel[..R * job.hd].as_chunks_mut::<R>();
@@ -1217,7 +1303,14 @@ fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32]
     }
     let lim = &job.limits[i..i + R];
     let end = lim.iter().copied().max().unwrap_or(0);
-    for j in (0..end).step_by(SK) {
+    let mut j = 0;
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    if job.hd.is_multiple_of(LANES) {
+        // SAFETY: this block is compiled only into builds that target
+        // AVX-512F, which run only on CPUs that have it.
+        j = unsafe { zmm::scores_row_tile::<R>(job, qt, i, end, out) };
+    }
+    while j < end {
         let s = score_tile::<R>(qt, job.keys.panel(j / SK, job.key_lo, job.hd));
         let n = SK.min(end - j);
         for (r, row) in s.iter().enumerate() {
@@ -1225,6 +1318,7 @@ fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32]
                 *o = v * job.scale;
             }
         }
+        j += SK;
     }
     for (r, &l) in lim.iter().enumerate() {
         out[(i + r) * jn + l..(i + r + 1) * jn].fill(0.0);
@@ -1264,6 +1358,171 @@ fn score_tile<const R: usize>(qt: &[[f32; R]], kp: &[[f32; SK]]) -> [[f32; SK]; 
         }
     }
     s
+}
+
+/// The GEMM and score tiles at full AVX-512 width, compiled in when the
+/// build targets it (`.cargo/config.toml` builds for the host CPU). LLVM's
+/// tuning for AVX-512 Xeons prefers 256-bit vectors, so the portable tiles
+/// compile to `ymm` code that reaches half the FMA peak of `zmm` code
+/// (a synthetic FMA loop on one 2.1 GHz Xeon vCPU: 54–72 GFLOP/s on
+/// `ymm`, 119–136 on `zmm`). These tiles keep the
+/// portable tiles' per-element order exactly: `_mm512_fmadd_ps(b,
+/// set1(a), acc)` is the same correctly rounded operation per lane as
+/// `b.mul_add(a, acc)`, and an unfused add is an unfused add. The portable
+/// tiles stay as the fallback for every other target.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use std::arch::x86_64::{
+        __m512, __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+
+    use super::{Gemm, Scores, LANES, SK};
+
+    /// Lanes of a `zmm` register.
+    const W: usize = 16;
+    /// Columns of the GEMM tile: four `zmm` accumulators per row, so the
+    /// six-row tile holds 24 of the 32 `zmm` registers.
+    pub(super) const NR: usize = 4 * W;
+
+    /// [`super::gemm_tile`] for `R × 64` columns at `j`, with the same
+    /// per-element contract.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_tile<const R: usize>(
+        g: &Gemm<'_>,
+        panel: &[[f32; R]],
+        live: &[u32],
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let col = g.bcol + j;
+        let kmax = live.iter().copied().max().map_or(0, |k| k as usize);
+        assert!(
+            live.is_empty() || kmax * g.ldb + col + NR <= g.b.len(),
+            "gemm tile reads past b"
+        );
+        let mut acc = [[_mm512_setzero_ps(); 4]; R];
+        for (av, &k) in panel.iter().zip(live) {
+            // SAFETY: `k ≤ kmax`, and the assert above puts the 64 floats
+            // from `k·ldb + col` inside `g.b`.
+            let bk = unsafe { g.b.as_ptr().add(k as usize * g.ldb + col) };
+            let bv: [__m512; 4] = std::array::from_fn(|c| {
+                // SAFETY: `bk + 16c .. bk + 16c + 16` lies in the 64 floats
+                // asserted above (`c < 4`).
+                unsafe { _mm512_loadu_ps(bk.add(W * c)) }
+            });
+            for (ar, &a) in acc.iter_mut().zip(av) {
+                let a = _mm512_set1_ps(a);
+                for (x, &b) in ar.iter_mut().zip(&bv) {
+                    *x = _mm512_fmadd_ps(b, a, *x);
+                }
+            }
+        }
+        for (r, ar) in acc.iter().enumerate() {
+            let dst = &mut out[r * g.n + j..][..NR];
+            for (c, &x) in ar.iter().enumerate() {
+                // SAFETY: `dst` holds 64 floats, so `16c .. 16c + 16` is
+                // inside it (`c < 4`).
+                unsafe { _mm512_storeu_ps(dst.as_mut_ptr().add(W * c), x) };
+            }
+        }
+    }
+
+    /// The key loop of [`super::scores_row_tile`] for a head dim that is
+    /// whole [`LANES`]-lane chunks: keys `0..end` against the query rows
+    /// `i..i + R` packed in `qt`, two key panels at a time, with the
+    /// scaled stores of each row's keys below `end`. Returns the first key
+    /// it did not store (`end`, rounded up to a panel).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn scores_row_tile<const R: usize>(
+        job: &Scores<'_>,
+        qt: &[[f32; R]],
+        i: usize,
+        end: usize,
+        out: &mut [f32],
+    ) -> usize {
+        let jn = job.keys.keys;
+        let scale = _mm512_set1_ps(job.scale);
+        let panel = |j: usize| job.keys.panel(j / SK, job.key_lo, job.hd);
+        let mut store = |j: usize, s: &[__m512; R]| {
+            let n = SK.min(end - j);
+            for (r, &x) in s.iter().enumerate() {
+                store_prefix(&mut out[(i + r) * jn + j..][..n], _mm512_mul_ps(x, scale));
+            }
+        };
+        let mut j = 0;
+        while j + SK < end {
+            let [s0, s1] = score_tile::<R, 2>(qt, [panel(j), panel(j + SK)]);
+            store(j, &s0);
+            store(j + SK, &s1);
+            j += 2 * SK;
+        }
+        if j < end {
+            let [s] = score_tile::<R, 1>(qt, [panel(j)]);
+            store(j, &s);
+            j += SK;
+        }
+        j
+    }
+
+    /// Stores the first `dst.len()` (at most 16) lanes of `x` into `dst`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store_prefix(dst: &mut [f32], x: __m512) {
+        assert!(dst.len() <= W);
+        let mask = ((1u32 << dst.len()) - 1) as __mmask16;
+        // SAFETY: the mask enables only the first `dst.len()` lanes, all
+        // inside `dst`; masked-off lanes touch no memory.
+        unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, x) };
+    }
+
+    /// Unscaled [`super::score_tile`] against `P` key panels at once, with
+    /// one query row's 16 keys of a panel in one `zmm`; the head dim must
+    /// be whole [`LANES`]-lane chunks (no unfused tail). Each `q`
+    /// broadcast feeds `P` FMAs.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn score_tile<const R: usize, const P: usize>(
+        qt: &[[f32; R]],
+        kps: [&[[f32; SK]]; P],
+    ) -> [[__m512; R]; P] {
+        let hd = kps.iter().fold(qt.len(), |hd, kp| hd.min(kp.len()));
+        assert!(
+            hd.is_multiple_of(LANES),
+            "zmm score tile has no unfused tail"
+        );
+        let qt = &qt[..hd];
+        let kps = kps.map(|kp| &kp[..hd]);
+        let mut s = [[_mm512_setzero_ps(); R]; P];
+        // G lanes at a time, so G × P × R accumulators are in flight.
+        const G: usize = 2;
+        for t0 in (0..LANES).step_by(G) {
+            let mut acc = [[[_mm512_setzero_ps(); R]; P]; G];
+            for c in (0..hd).step_by(LANES) {
+                for (g, ag) in acc.iter_mut().enumerate() {
+                    let d = c + t0 + g;
+                    for (ap, kp) in ag.iter_mut().zip(&kps) {
+                        // SAFETY: `kp[d]` is a `[f32; 16]`, exactly one
+                        // `zmm` load.
+                        let kv = unsafe { _mm512_loadu_ps(kp[d].as_ptr()) };
+                        for (x, &q) in ap.iter_mut().zip(&qt[d]) {
+                            *x = _mm512_fmadd_ps(_mm512_set1_ps(q), kv, *x);
+                        }
+                    }
+                }
+            }
+            for ag in &acc {
+                for (sp, ap) in s.iter_mut().zip(ag) {
+                    for (sr, &x) in sp.iter_mut().zip(ap) {
+                        *sr = _mm512_add_ps(*sr, x);
+                    }
+                }
+            }
+        }
+        s
+    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -1404,9 +1663,10 @@ mod tests {
             (7, (0, 8, 8)),
             (8, (8, 8, 0)),
         ];
-        // Every remainder tile height against every column-tail shape.
+        // Every remainder tile height against every column-tail shape,
+        // and against widths on both sides of the 64-column `zmm` tile.
         for m in 1..=13 {
-            for n in [1, 7, 8, 31, 32, 33] {
+            for n in [1, 7, 8, 31, 32, 33, 63, 64, 65, 96, 128, 224] {
                 shapes.push((100 + (m * 64 + n) as u64, (m, 19, n)));
             }
         }
@@ -1492,20 +1752,52 @@ mod tests {
         assert_close(&scores, &qh.matmul_transposed(&kh), 1e-4);
 
         // The context product reads `rhs` at a column offset; causal
-        // zeros in `p` exercise the skip.
-        for (m, lo, hi) in [(7, 32, 64), (13, 5, 40), (6, 1, 9), (1, 95, 96)] {
-            let mut p = seeded(m, 13, 33 + lo as u64);
-            for i in 0..m {
-                for j in (i + 1).min(13)..13 {
-                    p[(i, j)] = 0.0;
+        // zeros in `p` exercise the skip. With row limits (causal, none,
+        // all keys, and a row with values past its limit) it must equal
+        // the product of `p` cut to its limits, at every pool size.
+        let _guard = crate::pool::GLOBAL_POOL_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let vmat = seeded(70, 224, 34);
+        for (m, keys, lo, hi) in [
+            (7, 13, 32, 64),
+            (13, 13, 5, 40),
+            (6, 13, 1, 9),
+            (1, 13, 95, 96),
+            (13, 70, 64, 128),
+            (49, 70, 96, 160),
+            (20, 70, 31, 96),
+            (9, 40, 0, 224),
+        ] {
+            let rhs = vmat.slice_rows(0, keys);
+            let vh = rhs.col_block(lo, hi);
+            let mut p = seeded(m, keys, 33 + lo as u64);
+            let limits: Vec<usize> = (0..m)
+                .map(|i| match i % 4 {
+                    1 => 0,
+                    2 => keys,
+                    _ => (keys - m.min(keys) + i + 1).min(keys),
+                })
+                .collect();
+            let mut cut = p.clone();
+            for (i, &l) in limits.iter().enumerate() {
+                cut.row_mut(i)[l..].fill(0.0);
+                if i % 4 != 3 {
+                    p.row_mut(i)[l..].fill(0.0);
                 }
             }
-            let kh = kmat.col_block(lo, hi);
+            let what = format!("{m} rows x {keys} keys, cols {lo}..{hi}");
             let mut ctx = Matrix::zeros(0, 0);
-            p.matmul_cols_into(&kmat, lo, hi, &mut ctx);
-            assert_close(&ctx, &p.matmul(&kh), 1e-4);
-            assert_bits(&ctx, &spec_matmul(&p, &kh), &format!("cols {lo}..{hi}"));
+            for threads in 1..=4 {
+                crate::pool::set_threads(threads);
+                p.matmul_cols_into(&rhs, lo, hi, None, &mut ctx);
+                assert_close(&ctx, &p.matmul(&vh), 1e-4);
+                assert_bits(&ctx, &spec_matmul(&p, &vh), &what);
+                p.matmul_cols_into(&rhs, lo, hi, Some(&limits), &mut ctx);
+                assert_bits(&ctx, &spec_matmul(&cut, &vh), &format!("limited, {what}"));
+            }
         }
+        crate::pool::set_threads(1);
     }
 
     #[test]
@@ -1516,17 +1808,27 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let a = seeded_with_zeros(130, 96, 91);
-        let b = seeded(96, 48, 92);
-        crate::pool::set_threads(1);
-        let baseline = a.matmul(&b);
-        for threads in 2..=4 {
-            crate::pool::set_threads(threads);
-            let got = a.matmul(&b);
-            assert_bits(&got, &baseline, &format!("thread count {threads}"));
+        for n in [48, 63, 64, 65, 96, 128, 224] {
+            let b = seeded(96, n, 92);
+            crate::pool::set_threads(1);
+            let baseline = a.matmul(&b);
+            for threads in 2..=4 {
+                crate::pool::set_threads(threads);
+                let got = a.matmul(&b);
+                assert_bits(
+                    &got,
+                    &baseline,
+                    &format!("{n} cols, thread count {threads}"),
+                );
+            }
+            crate::pool::set_threads(1);
+            assert_close(&baseline, &a.matmul_reference(&b), 2e-3);
+            assert_bits(
+                &baseline,
+                &spec_matmul(&a, &b),
+                &format!("{n} cols, the spec"),
+            );
         }
-        crate::pool::set_threads(1);
-        assert_close(&baseline, &a.matmul_reference(&b), 2e-3);
-        assert_bits(&baseline, &spec_matmul(&a, &b), "against the spec");
     }
 
     #[test]
@@ -1538,18 +1840,22 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         let keys = 37; // two full key panels and a partial one
         let scale = 0.37;
+        // hd 40 has an unfused 8-dim tail.
         for hd in [16, 40, 64] {
             let kmat = seeded(keys, 3 * hd, hd as u64);
             let (lo, hi) = (hd, 2 * hd);
             let mut panels = KeyPanels::default();
             panels.pack(&kmat);
-            for rows in [1, 3, 15, 16, 23] {
+            for rows in [1, 3, 15, 16, 23, 47, 48, 49] {
                 let q = seeded_with_zeros(rows, 3 * hd, 7 * rows as u64);
-                // Causal, plus rows limited to nothing and to everything.
+                // Causal, plus rows limited to nothing, to everything and
+                // exactly to a key panel's edge.
                 let limits: Vec<usize> = (0..rows)
-                    .map(|i| match i % 5 {
+                    .map(|i| match i % 7 {
                         3 => 0,
                         4 => keys,
+                        5 => SK,
+                        6 => 2 * SK,
                         _ => (keys - rows.min(keys) + i + 1).min(keys),
                     })
                     .collect();

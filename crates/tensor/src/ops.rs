@@ -47,15 +47,27 @@ fn exp_fast(x: f32) -> f32 {
     let p = p.mul_add(f, 2.402_264_7e-1);
     let p = p.mul_add(f, 6.931_472e-1);
     let p = p.mul_add(f, 1.0);
-    let scale = f32::from_bits((((tf as i32) + 127) as u32) << 23);
-    p * scale * alive
+    p * pow2i(tf) * alive
+}
+
+/// `2^tf` for an integer `tf ∈ [−126, 0]`, built with float arithmetic
+/// rather than a saturating `tf as i32`, which LLVM scalarizes (one
+/// convert and two selects per lane): `2²³ + 127 + tf` is exact, and its
+/// low mantissa bits are the biased exponent `127 + tf`, so shifting them
+/// into the exponent field gives the bits of `((tf as i32 + 127) as u32)
+/// << 23`.
+#[inline]
+fn pow2i(tf: f32) -> f32 {
+    // 8_388_735 = 2²³ + 127.
+    f32::from_bits((tf + 8_388_735.0).to_bits() << 23)
 }
 
 /// Numerically stable softmax over `row[..live]`, with `row[live..]`
 /// forced to exactly zero — the blocked attention path's softmax: the
 /// causally masked tail is never exponentiated at all, and the live
-/// prefix uses the vectorized `exp_fast`. An all-masked (`live == 0`)
-/// row becomes all zeros, matching [`softmax_row`].
+/// prefix runs `exp_fast` a full vector of lanes at a time. An
+/// all-masked (`live == 0`) row becomes all zeros, matching
+/// [`softmax_row`].
 pub fn softmax_prefix_fast(row: &mut [f32], live: usize) {
     let (head, tail) = row.split_at_mut(live);
     tail.fill(0.0);
@@ -240,6 +252,44 @@ mod tests {
                 assert!((a - b).abs() < 1e-5, "{a} vs {b} (live {live})");
             }
             assert!(fast[live..].iter().all(|&v| v == 0.0), "tail must be 0.0");
+        }
+    }
+
+    /// `exp_fast` as it was before `pow2i`: the same polynomial, with
+    /// `2^tf` built by a saturating integer cast.
+    fn exp_fast_cast(x: f32) -> f32 {
+        let alive = (x > -87.0) as u32 as f32;
+        let t = (x.max(-87.0)) * std::f32::consts::LOG2_E;
+        let tf = t.floor();
+        let f = t - tf;
+        let p = 1.535_336_9e-4f32;
+        let p = p.mul_add(f, 1.339_887_5e-3);
+        let p = p.mul_add(f, 9.618_437e-3);
+        let p = p.mul_add(f, 5.550_332_8e-2);
+        let p = p.mul_add(f, 2.402_264_7e-1);
+        let p = p.mul_add(f, 6.931_472e-1);
+        let p = p.mul_add(f, 1.0);
+        let scale = f32::from_bits((((tf as i32) + 127) as u32) << 23);
+        p * scale * alive
+    }
+
+    #[test]
+    fn exp_fast_keeps_the_cast_constructions_bits() {
+        for tf in -126..=0 {
+            let want = f32::from_bits(((tf + 127) as u32) << 23);
+            assert_eq!(pow2i(tf as f32).to_bits(), want.to_bits(), "2^{tf}");
+        }
+        // Every 1021st bit pattern from -0.0 down to -100.0 (~1.1M inputs),
+        // plus both zeros and the ends of the range.
+        let (lo, hi) = ((-0.0f32).to_bits(), (-100.0f32).to_bits());
+        let sweep = (lo..=hi).step_by(1021).chain([lo, hi, 0.0f32.to_bits()]);
+        for bits in sweep {
+            let x = f32::from_bits(bits);
+            assert_eq!(
+                exp_fast(x).to_bits(),
+                exp_fast_cast(x).to_bits(),
+                "exp_fast({x:e})"
+            );
         }
     }
 
