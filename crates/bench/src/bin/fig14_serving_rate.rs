@@ -17,21 +17,12 @@
 //! - `--trace-out PATH` — export the run's span timeline as
 //!   `chrome://tracing` JSON (a chaos run shows each mid-stream retry as
 //!   a `retry#k` child span under its request).
-//! - `--batch` — run the continuous-batching serving arm instead
-//!   (`target/experiments/BENCH_batch.json`): decode tokens/s and
-//!   client-observed TTFT p50/p99 with deadline-miss counts at decode
-//!   batch 1/4/8/16/32. See `experiments::batch`.
 
-use cb_bench::experiments::batch::{run_opts as run_batch, BatchOpts};
 use cb_bench::experiments::fig14::{run_opts, BackendArm, Fig14Opts};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a == "--batch") {
-        run_batch(BatchOpts { smoke });
-        return;
-    }
     let chaos = args.iter().any(|a| a == "--chaos");
     let backend = match args.iter().position(|a| a == "--backend") {
         None => BackendArm::Analytic,

@@ -2,7 +2,6 @@
 //! wrappers and `all_experiments` runs the lot. See DESIGN.md §8 for the
 //! experiment index and EXPERIMENTS.md for recorded results.
 
-pub mod batch;
 pub mod fig02;
 pub mod fig06;
 pub mod fig07;
@@ -14,17 +13,12 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig16;
 pub mod fig17;
-pub mod kernels;
 pub mod obs_overhead;
-pub mod storage;
 pub mod tab_delay;
 
 /// Runs every experiment in figure order.
 pub fn run_all() {
-    kernels::run();
-    batch::run();
     obs_overhead::run();
-    storage::run();
     tab_delay::run();
     fig02::run();
     fig06::run();

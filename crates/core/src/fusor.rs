@@ -468,11 +468,7 @@ impl<'m> Fusor<'m> {
             );
             sc.x.gather_rows_into(&sc.active, &mut sc.x_new);
             sc.x_new.add_assign(&sc.fwd.delta);
-            if model.reference_kernels {
-                if let Some(m) = model.mlp_delta(layer, &sc.x_new) {
-                    sc.x_new.add_assign(&m);
-                }
-            } else if model.layers[layer].mlp.forward_into(
+            if model.layers[layer].mlp.forward_into(
                 &sc.x_new,
                 &mut sc.fwd.h1,
                 &mut sc.fwd.h2,

@@ -20,9 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use cb_kv::prefetch::PrefetchHandle;
-use cb_kv::serialize::DecodeError;
 use cb_kv::store::StoreError;
 use cb_model::{LayerKv, Model};
 use cb_obs::metrics::{Counter, Gauge, Registry};
@@ -129,40 +127,13 @@ pub struct PipelineReport {
     pub loader_busy: Duration,
 }
 
-/// Result of [`blend_pipelined`].
+/// Result of [`blend_prefetched`].
 #[derive(Debug)]
 pub struct PipelineOutput {
     /// The blend result (cache, residual, stats).
     pub result: BlendResult,
     /// Overlap evidence.
     pub report: PipelineReport,
-}
-
-/// Fuses serialized chunk entries with a real loader thread.
-///
-/// `parts` are the serialized per-chunk caches (as stored by
-/// `cb-kv::KvStore`), in request order. `throttle` adds an artificial
-/// per-layer read delay emulating a device.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if any entry fails its checksum.
-pub fn blend_pipelined(
-    model: &Model,
-    cfg: BlendConfig,
-    parts: Vec<Bytes>,
-    suffix: &[TokenId],
-    throttle: Option<Duration>,
-) -> Result<PipelineOutput, DecodeError> {
-    let handles: Vec<PrefetchHandle> = parts
-        .into_iter()
-        .map(|b| PrefetchHandle::from_bytes(b, 0))
-        .collect::<Result<_, _>>()?;
-    blend_prefetched(model, cfg, handles, suffix, throttle).map_err(|e| match e {
-        StoreError::Corrupt(d) => d,
-        // In-memory handles cannot raise backend/capacity errors.
-        _ => DecodeError::Truncated,
-    })
 }
 
 /// Fuses chunk entries delivered by [`PrefetchHandle`]s — the storage-aware
@@ -307,50 +278,59 @@ pub(crate) fn blend_prefetched_pooled(
     })
 }
 
-/// Sequential reference: load (and throttle) *everything first*, then
-/// blend — the unpipelined ablation of Figure 10(a).
-pub fn blend_sequential(
-    model: &Model,
-    cfg: BlendConfig,
-    parts: Vec<Bytes>,
-    suffix: &[TokenId],
-    throttle: Option<Duration>,
-) -> Result<PipelineOutput, DecodeError> {
-    let start = Instant::now();
-    let mut caches = Vec::new();
-    for b in parts {
-        let c = cb_kv::serialize::decode(b)?;
-        if let Some(d) = throttle {
-            std::thread::sleep(d * model.n_layers() as u32);
-        }
-        caches.push(c);
-    }
-    let load_time = start.elapsed();
-    let fusor = Fusor::new(model, cfg);
-    let result = fusor.blend(caches, suffix, false);
-    Ok(PipelineOutput {
-        result,
-        report: PipelineReport {
-            total: start.elapsed(),
-            wait: load_time,
-            loader_busy: load_time,
-        },
-    })
-}
-
-/// Convenience used by tests/benches: serialize a fused request's chunks.
-pub fn serialize_chunks(model: &Model, chunks: &[Vec<TokenId>]) -> Vec<Bytes> {
-    chunks
-        .iter()
-        .map(|c| cb_kv::serialize::encode(&cb_kv::precompute::precompute_chunk(model, c)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use cb_kv::serialize::DecodeError;
     use cb_model::{KvCache, ModelConfig, ModelProfile};
     use cb_tokenizer::TokenKind::*;
+
+    /// Sequential reference: load (and throttle) *everything first*, then
+    /// blend — the unpipelined ablation of Figure 10(a).
+    fn blend_sequential(
+        model: &Model,
+        cfg: BlendConfig,
+        parts: Vec<Bytes>,
+        suffix: &[TokenId],
+        throttle: Option<Duration>,
+    ) -> Result<PipelineOutput, DecodeError> {
+        let start = Instant::now();
+        let mut caches = Vec::new();
+        for b in parts {
+            let c = cb_kv::serialize::decode(b)?;
+            if let Some(d) = throttle {
+                std::thread::sleep(d * model.n_layers() as u32);
+            }
+            caches.push(c);
+        }
+        let load_time = start.elapsed();
+        let fusor = Fusor::new(model, cfg);
+        let result = fusor.blend(caches, suffix, false);
+        Ok(PipelineOutput {
+            result,
+            report: PipelineReport {
+                total: start.elapsed(),
+                wait: load_time,
+                loader_busy: load_time,
+            },
+        })
+    }
+
+    /// Serializes a fused request's chunks.
+    fn serialize_chunks(model: &Model, chunks: &[Vec<TokenId>]) -> Vec<Bytes> {
+        chunks
+            .iter()
+            .map(|c| cb_kv::serialize::encode(&cb_kv::precompute::precompute_chunk(model, c)))
+            .collect()
+    }
+
+    /// RAM-resident prefetch handles over serialized entries.
+    fn ram_handles(parts: &[Bytes]) -> Vec<PrefetchHandle> {
+        (parts.iter())
+            .map(|b| PrefetchHandle::from_bytes(b.clone(), 0).unwrap())
+            .collect()
+    }
 
     fn model() -> Model {
         Model::compiled(ModelConfig::standard(ModelProfile::Tiny, 11))
@@ -383,7 +363,7 @@ mod tests {
         let (chunks, q, _) = scenario(&m);
         let bytes = serialize_chunks(&m, &chunks);
         let cfg = BlendConfig::with_ratio(0.4);
-        let piped = blend_pipelined(&m, cfg, bytes, &q, None).unwrap();
+        let piped = blend_prefetched(&m, cfg, ram_handles(&bytes), &q, None).unwrap();
 
         let parts: Vec<KvCache> = chunks
             .iter()
@@ -405,7 +385,8 @@ mod tests {
         let m = model();
         let (chunks, q, gold) = scenario(&m);
         let bytes = serialize_chunks(&m, &chunks);
-        let mut out = blend_pipelined(&m, BlendConfig::with_ratio(0.45), bytes, &q, None).unwrap();
+        let cfg = BlendConfig::with_ratio(0.45);
+        let mut out = blend_prefetched(&m, cfg, ram_handles(&bytes), &q, None).unwrap();
         let ans = m.decode_greedy(&mut out.result.cache, &out.result.last_residual, 4);
         assert_eq!(ans, vec![gold]);
     }
@@ -419,8 +400,11 @@ mod tests {
         let n = raw.len();
         raw[n / 2] ^= 0xFF;
         bytes[0] = Bytes::from(raw);
-        let err = blend_pipelined(&m, BlendConfig::default(), bytes, &q, None).unwrap_err();
-        assert_eq!(err, DecodeError::Corrupted);
+        // The header is intact, so the handle opens; the damaged layer
+        // block fails its checksum when the loader reaches it.
+        let handles = ram_handles(&bytes);
+        let err = blend_prefetched(&m, BlendConfig::default(), handles, &q, None).unwrap_err();
+        assert_eq!(err, StoreError::Corrupt(DecodeError::Corrupted));
     }
 
     #[test]
@@ -432,7 +416,7 @@ mod tests {
         let m = model();
         let (chunks, _, _) = scenario(&m);
         let bytes = serialize_chunks(&m, &chunks);
-        let _ = blend_pipelined(&m, BlendConfig::default(), bytes, &[], None);
+        let _ = blend_prefetched(&m, BlendConfig::default(), ram_handles(&bytes), &[], None);
     }
 
     #[test]
@@ -445,7 +429,7 @@ mod tests {
         let bytes = serialize_chunks(&m, &chunks);
         let throttle = Duration::from_millis(8);
         let cfg = BlendConfig::with_ratio(0.4);
-        let piped = blend_pipelined(&m, cfg, bytes.clone(), &q, Some(throttle)).unwrap();
+        let piped = blend_prefetched(&m, cfg, ram_handles(&bytes), &q, Some(throttle)).unwrap();
         let seq = blend_sequential(&m, cfg, bytes, &q, Some(throttle)).unwrap();
         assert!(
             piped.report.total < seq.report.total,
@@ -493,7 +477,7 @@ mod tests {
         let (chunks, q, gold) = scenario(&m);
         let bytes = serialize_chunks(&m, &chunks);
         let cfg = BlendConfig::with_ratio(0.45);
-        let ram = blend_pipelined(&m, cfg, bytes.clone(), &q, None).unwrap();
+        let ram = blend_prefetched(&m, cfg, ram_handles(&bytes), &q, None).unwrap();
 
         let dir = test_dir("parity");
         let store = disk_store(&dir, None);
@@ -633,10 +617,7 @@ mod tests {
             let cases = [(3, 24, 1), (2, 12, 2), (6, 32, 3)]
                 .map(|(n, rows, seed)| random_case(&m, seed, n, rows));
             let serve = |(chunks, query): &(Vec<Vec<TokenId>>, Vec<TokenId>), pool: &LayerPool| {
-                let handles = serialize_chunks(&m, chunks)
-                    .into_iter()
-                    .map(|b| PrefetchHandle::from_bytes(b, 0).unwrap())
-                    .collect();
+                let handles = ram_handles(&serialize_chunks(&m, chunks));
                 let cfg = BlendConfig::default();
                 let mut out = blend_prefetched_pooled(&m, cfg, handles, query, None, pool, DECODE)
                     .unwrap()
@@ -693,10 +674,10 @@ mod tests {
         let m = model();
         let (chunks, q, _) = scenario(&m);
         let bytes = serialize_chunks(&m, &chunks);
-        let out = blend_pipelined(
+        let out = blend_prefetched(
             &m,
             BlendConfig::default(),
-            bytes,
+            ram_handles(&bytes),
             &q,
             Some(Duration::from_millis(2)),
         )

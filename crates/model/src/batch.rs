@@ -206,11 +206,7 @@ impl DecodeBatch {
         // per-slot argmax. Rows of slots that are out of budget are
         // computed but never read (the sequential loop never argmaxes
         // once its budget is spent).
-        if model.reference_kernels {
-            self.logits = self.x.matmul_reference(&model.unembed);
-        } else {
-            self.x.matmul_into(&model.unembed, &mut self.logits);
-        }
+        self.x.matmul_into(&model.unembed, &mut self.logits);
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if slot.remaining == 0 {
                 slot.done = true;
@@ -300,11 +296,7 @@ impl DecodeBatch {
                     *dst += src;
                 }
             }
-            if model.reference_kernels {
-                if let Some(m) = model.layers[layer].mlp.forward_reference(&self.x) {
-                    self.x.add_assign(&m);
-                }
-            } else if model.layers[layer].mlp.forward_into(
+            if model.layers[layer].mlp.forward_into(
                 &self.x,
                 &mut self.h1,
                 &mut self.h2,
@@ -596,24 +588,5 @@ mod tests {
         let fin = batch.run_to_completion(&m, &mut |_, _| {});
         assert_eq!(fin[0].1.tokens.len(), 5);
         assert_eq!(fin[0].1.cache.len(), base_len + 5);
-    }
-
-    #[test]
-    fn reference_kernels_batch_matches_reference_sequential() {
-        let m = tiny().with_reference_kernels();
-        let ps = prompts(&m, 3);
-        let mut batch = DecodeBatch::new();
-        let mut ids = Vec::new();
-        for p in &ps {
-            let (cache, x) = m.prefill(p);
-            ids.push(batch.admit(&m, cache, x.row(x.rows() - 1), 6));
-        }
-        let fin = batch.run_to_completion(&m, &mut |_, _| {});
-        for (i, p) in ps.iter().enumerate() {
-            let (want_toks, want_cache) = sequential(&m, p, 6);
-            let got = fin.iter().find(|(id, _)| *id == ids[i]).unwrap();
-            assert_eq!(got.1.tokens, want_toks, "seq {i} tokens diverged");
-            assert_eq!(got.1.cache, want_cache, "seq {i} cache diverged");
-        }
     }
 }

@@ -60,9 +60,10 @@ impl LayerKv {
         self.v.extend_from_rows(v, lo, hi);
     }
 
-    /// The seed's copy-on-append (`vcat` of old + new). Kept only as the
-    /// faithful "scalar baseline" arm of the throughput benchmarks.
-    pub fn append_vcat(&mut self, k: &Matrix, v: &Matrix) {
+    /// The seed's copy-on-append (`vcat` of old + new), used by the
+    /// reference forward pass in tests.
+    #[cfg(test)]
+    pub(crate) fn append_vcat(&mut self, k: &Matrix, v: &Matrix) {
         assert_eq!(k.rows(), v.rows(), "K/V row count mismatch");
         self.k = Matrix::vcat(&[&self.k, k]);
         self.v = Matrix::vcat(&[&self.v, v]);

@@ -7,29 +7,29 @@
 //! - [`Model::qkv`]: project residual rows to per-head Q/K/V (RoPE applied),
 //! - [`Model::attend`]: masked multi-head attention of query rows against a
 //!   full K/V set at arbitrary absolute positions,
-//! - [`Model::mlp_delta`]: the layer's feed-forward residual delta.
+//! - [`Mlp::forward_into`](crate::weights::Mlp::forward_into): the layer's
+//!   feed-forward residual delta.
 //!
 //! [`Model::forward_rows`] strings the primitives together for the common
 //! "append these tokens to a cache" case (prefill = empty cache, decode =
 //! one row). The CacheBlend fusor in `cb-core` drives the primitives
 //! directly to implement §4.2's masked selective recompute.
 //!
-//! # Execution paths
+//! # Execution path
 //!
-//! The primitives have two implementations:
+//! QKV is a single fused blocked matmul over
+//! [`crate::weights::Layer::fused_qkv`] plus in-place RoPE; attention reads
+//! per-head column blocks in place (no `col_block` copies), applies the
+//! causal mask by binary search over the sorted key positions, the
+//! positional biases by O(1)/vectorized specializations, and runs heads in
+//! parallel on the `cb-tensor` thread pool (reduced in fixed head order, so
+//! results are bit-identical for any pool size). Every intermediate lives
+//! in a caller-provided [`Scratch`] arena: a warm decode loop allocates
+//! nothing.
 //!
-//! - The **blocked path** (default): QKV is a single fused blocked matmul
-//!   over [`crate::weights::Layer::fused_qkv`] plus in-place RoPE; attention
-//!   reads per-head column blocks in place (no `col_block` copies), applies
-//!   the causal mask by binary search over the sorted key positions, the
-//!   positional biases by O(1)/vectorized specializations, and runs heads in
-//!   parallel on the `cb-tensor` thread pool (reduced in fixed head order,
-//!   so results are bit-identical for any pool size). Every intermediate
-//!   lives in a caller-provided [`Scratch`] arena: a warm decode loop
-//!   allocates nothing.
-//! - The **reference path** ([`Model::reference_kernels`] = true): the
-//!   seed's original per-head scalar loops, kept as the parity baseline for
-//!   tests and the "scalar" arm of the throughput benchmarks.
+//! The seed's per-head scalar loops (`qkv_reference`, `attend_reference`,
+//! `forward_rows_reference`) are compiled only into this crate's tests,
+//! where they are the parity oracle for the blocked path.
 
 use cb_tensor::matrix::SCORE_TILE_MIN_ROWS;
 use cb_tensor::ops;
@@ -71,11 +71,6 @@ pub struct Model {
     pub unembed: Matrix,
     /// Transformer layers.
     pub layers: Vec<Layer>,
-    /// When set, every forward primitive runs the seed's scalar reference
-    /// implementation (per-head matmuls, copied column blocks, per-element
-    /// mask/bias loops, copy-on-append caches). The throughput benchmarks
-    /// flip this on one clone to measure the blocked path against it.
-    pub reference_kernels: bool,
 }
 
 impl Model {
@@ -84,16 +79,11 @@ impl Model {
         program::compile(cfg)
     }
 
-    /// Builds an all-noise model (used by throughput benches where only the
-    /// computation shape matters).
-    pub fn random(cfg: ModelConfig) -> Self {
+    /// Builds an all-noise model: dense weights in every head and MLP, for
+    /// tests where only the computation shape matters.
+    #[cfg(test)]
+    pub(crate) fn random(cfg: ModelConfig) -> Self {
         program::compile_noise_only(cfg)
-    }
-
-    /// This model with the reference (seed) kernels selected.
-    pub fn with_reference_kernels(mut self) -> Self {
-        self.reference_kernels = true;
-        self
     }
 
     /// Number of layers.
@@ -146,13 +136,6 @@ impl Model {
         fused: &mut Matrix,
     ) {
         assert_eq!(x.rows(), pos.len(), "row/position count mismatch");
-        if self.reference_kernels {
-            let (qr, kr, vr) = self.qkv_reference(layer, x, pos);
-            *q = qr;
-            *k = kr;
-            *v = vr;
-            return;
-        }
         let hd = self.cfg.head_dim;
         let width = self.cfg.kv_width();
         let n = x.rows();
@@ -175,35 +158,6 @@ impl Model {
                 }
             }
         }
-    }
-
-    /// The seed's per-head QKV (3 scalar matmuls and a column-block copy
-    /// per head) — the scalar baseline.
-    pub fn qkv_reference(
-        &self,
-        layer: usize,
-        x: &Matrix,
-        pos: &[usize],
-    ) -> (Matrix, Matrix, Matrix) {
-        assert_eq!(x.rows(), pos.len(), "row/position count mismatch");
-        let hd = self.cfg.head_dim;
-        let width = self.cfg.kv_width();
-        let mut q = Matrix::zeros(x.rows(), width);
-        let mut k = Matrix::zeros(x.rows(), width);
-        let mut v = Matrix::zeros(x.rows(), width);
-        for (h, head) in self.layers[layer].heads.iter().enumerate() {
-            let mut qh = x.matmul_reference(&head.wq);
-            let mut kh = x.matmul_reference(&head.wk);
-            let vh = x.matmul_reference(&head.wv);
-            if let Some(table) = &head.rope {
-                cb_tensor::rope::apply_rope(&mut qh, table, pos);
-                cb_tensor::rope::apply_rope(&mut kh, table, pos);
-            }
-            q.set_col_block(h * hd, &qh);
-            k.set_col_block(h * hd, &kh);
-            v.set_col_block(h * hd, &vh);
-        }
-        (q, k, v)
     }
 
     /// Multi-head attention of query rows (`q`, at positions `q_pos`)
@@ -257,10 +211,6 @@ impl Model {
         delta: &mut Matrix,
         scratch: &mut AttendScratch,
     ) {
-        if self.reference_kernels {
-            *delta = self.attend_reference(layer, q, q_pos, k_all, v_all, k_pos, probs_out);
-            return;
-        }
         let hd = self.cfg.head_dim;
         let heads = &self.layers[layer].heads;
         delta.zero_resize(q.rows(), self.cfg.d_model());
@@ -363,62 +313,6 @@ impl Model {
         }
     }
 
-    /// The seed's attention (copied per-head column blocks, scalar score
-    /// kernel, per-element mask/bias loop) — the scalar baseline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn attend_reference(
-        &self,
-        layer: usize,
-        q: &Matrix,
-        q_pos: &[usize],
-        k_all: &Matrix,
-        v_all: &Matrix,
-        k_pos: &[usize],
-        mut probs_out: Option<&mut Matrix>,
-    ) -> Matrix {
-        let hd = self.cfg.head_dim;
-        let mut delta = Matrix::zeros(q.rows(), self.cfg.d_model());
-        if let Some(p) = probs_out.as_deref_mut() {
-            *p = Matrix::zeros(q.rows(), k_all.rows());
-        }
-        let n_heads = self.layers[layer].heads.len();
-        for (h, head) in self.layers[layer].heads.iter().enumerate() {
-            let qh = q.col_block(h * hd, (h + 1) * hd);
-            let kh = k_all.col_block(h * hd, (h + 1) * hd);
-            let vh = v_all.col_block(h * hd, (h + 1) * hd);
-            let mut scores = qh.matmul_transposed_reference(&kh);
-            scores.scale(head.scale);
-            for (i, &qp) in q_pos.iter().enumerate() {
-                let row = scores.row_mut(i);
-                for (j, &kp) in k_pos.iter().enumerate() {
-                    if kp > qp {
-                        row[j] = f32::NEG_INFINITY;
-                    } else {
-                        row[j] += head.bias.bias(qp, kp);
-                    }
-                }
-                ops::softmax_row(row);
-            }
-            if let Some(p) = probs_out.as_deref_mut() {
-                for (dst, &src) in p.as_mut_slice().iter_mut().zip(scores.as_slice()) {
-                    *dst += src / n_heads as f32;
-                }
-            }
-            let ctx = scores.matmul_reference(&vh);
-            delta.add_assign(&ctx.matmul_reference(&head.wo));
-        }
-        delta
-    }
-
-    /// The layer's feed-forward residual delta for rows `x`, if any.
-    pub fn mlp_delta(&self, layer: usize, x: &Matrix) -> Option<Matrix> {
-        if self.reference_kernels {
-            self.layers[layer].mlp.forward_reference(x)
-        } else {
-            self.layers[layer].mlp.forward(x)
-        }
-    }
-
     /// Runs the full stack over `tokens` at `positions`, appending their KV
     /// to `cache`, and returns the final residual rows.
     ///
@@ -458,10 +352,6 @@ impl Model {
             cache.positions.iter().all(|&p| p < positions[0]),
             "new rows must follow all cached positions"
         );
-        if self.reference_kernels {
-            scratch.x = self.forward_rows_reference(tokens, positions, cache, trace);
-            return;
-        }
         self.embed_tokens_into(tokens, &mut scratch.x);
         scratch.k_pos.clear();
         scratch.k_pos.extend_from_slice(&cache.positions);
@@ -506,44 +396,6 @@ impl Model {
         cache.tokens.extend_from_slice(tokens);
     }
 
-    /// The seed's forward pass (reference primitives, copy-on-append
-    /// caches) — the scalar baseline measured by the throughput bench.
-    fn forward_rows_reference(
-        &self,
-        tokens: &[TokenId],
-        positions: &[usize],
-        cache: &mut KvCache,
-        mut trace: Option<&mut ForwardTrace>,
-    ) -> Matrix {
-        let mut x = self.embed_tokens(tokens);
-        let mut k_pos: Vec<usize> = cache.positions.clone();
-        k_pos.extend_from_slice(positions);
-        for layer in 0..self.n_layers() {
-            let (q, k, v) = self.qkv_reference(layer, &x, positions);
-            cache.layers[layer].append_vcat(&k, &v);
-            let mut probs = trace.as_deref_mut().map(|_| Matrix::zeros(0, 0));
-            let delta = self.attend_reference(
-                layer,
-                &q,
-                positions,
-                &cache.layers[layer].k,
-                &cache.layers[layer].v,
-                &k_pos,
-                probs.as_mut(),
-            );
-            x.add_assign(&delta);
-            if let Some(m) = self.layers[layer].mlp.forward_reference(&x) {
-                x.add_assign(&m);
-            }
-            if let (Some(t), Some(p)) = (trace.as_deref_mut(), probs) {
-                t.attn.push(p);
-            }
-        }
-        cache.positions.extend_from_slice(positions);
-        cache.tokens.extend_from_slice(tokens);
-        x
-    }
-
     /// Full prefill from scratch: returns the populated cache and the final
     /// residual rows.
     pub fn prefill(&self, tokens: &[TokenId]) -> (KvCache, Matrix) {
@@ -568,11 +420,7 @@ impl Model {
     pub fn logits_into(&self, x_row: &[f32], staging: &mut Matrix, out: &mut Matrix) {
         staging.zero_resize(1, x_row.len());
         staging.row_mut(0).copy_from_slice(x_row);
-        if self.reference_kernels {
-            *out = staging.matmul_reference(&self.unembed);
-        } else {
-            staging.matmul_into(&self.unembed, out);
-        }
+        staging.matmul_into(&self.unembed, out);
     }
 
     /// Greedy decode starting from a populated cache whose last row was the
@@ -632,8 +480,8 @@ impl Model {
 /// the causal tail already exact-zero (never computed), so only the live
 /// prefix `row[..cut]` is touched. [`AttnBias::None`] does nothing, the
 /// self/sink gates adjust at most two entries per row (binary search),
-/// and the previous-token kernel is one vectorizable pass — where the
-/// reference path pays a branchy per-element loop for every head.
+/// and the previous-token kernel is one vectorizable pass, instead of a
+/// branchy per-element loop for every head.
 fn bias_softmax_sorted(
     scores: &mut Matrix,
     q_pos: &[usize],
@@ -702,6 +550,133 @@ mod tests {
 
     fn tiny() -> Model {
         Model::compiled(ModelConfig::standard(ModelProfile::Tiny, 11))
+    }
+
+    /// The seed's scalar kernels, kept as test oracles for the blocked path.
+    impl Model {
+        /// The seed's per-head QKV (3 scalar matmuls and a column-block copy
+        /// per head) — the parity oracle for [`Model::qkv_into`].
+        fn qkv_reference(
+            &self,
+            layer: usize,
+            x: &Matrix,
+            pos: &[usize],
+        ) -> (Matrix, Matrix, Matrix) {
+            assert_eq!(x.rows(), pos.len(), "row/position count mismatch");
+            let hd = self.cfg.head_dim;
+            let width = self.cfg.kv_width();
+            let mut q = Matrix::zeros(x.rows(), width);
+            let mut k = Matrix::zeros(x.rows(), width);
+            let mut v = Matrix::zeros(x.rows(), width);
+            for (h, head) in self.layers[layer].heads.iter().enumerate() {
+                let mut qh = x.matmul_reference(&head.wq);
+                let mut kh = x.matmul_reference(&head.wk);
+                let vh = x.matmul_reference(&head.wv);
+                if let Some(table) = &head.rope {
+                    cb_tensor::rope::apply_rope(&mut qh, table, pos);
+                    cb_tensor::rope::apply_rope(&mut kh, table, pos);
+                }
+                q.set_col_block(h * hd, &qh);
+                k.set_col_block(h * hd, &kh);
+                v.set_col_block(h * hd, &vh);
+            }
+            (q, k, v)
+        }
+
+        /// The seed's attention (copied per-head column blocks, scalar score
+        /// kernel, per-element mask/bias loop) — the parity oracle for
+        /// [`Model::attend_into`].
+        #[allow(clippy::too_many_arguments)]
+        fn attend_reference(
+            &self,
+            layer: usize,
+            q: &Matrix,
+            q_pos: &[usize],
+            k_all: &Matrix,
+            v_all: &Matrix,
+            k_pos: &[usize],
+            mut probs_out: Option<&mut Matrix>,
+        ) -> Matrix {
+            let hd = self.cfg.head_dim;
+            let mut delta = Matrix::zeros(q.rows(), self.cfg.d_model());
+            if let Some(p) = probs_out.as_deref_mut() {
+                *p = Matrix::zeros(q.rows(), k_all.rows());
+            }
+            let n_heads = self.layers[layer].heads.len();
+            for (h, head) in self.layers[layer].heads.iter().enumerate() {
+                let qh = q.col_block(h * hd, (h + 1) * hd);
+                let kh = k_all.col_block(h * hd, (h + 1) * hd);
+                let vh = v_all.col_block(h * hd, (h + 1) * hd);
+                let mut scores = qh.matmul_transposed_reference(&kh);
+                scores.scale(head.scale);
+                for (i, &qp) in q_pos.iter().enumerate() {
+                    let row = scores.row_mut(i);
+                    for (j, &kp) in k_pos.iter().enumerate() {
+                        if kp > qp {
+                            row[j] = f32::NEG_INFINITY;
+                        } else {
+                            row[j] += head.bias.bias(qp, kp);
+                        }
+                    }
+                    ops::softmax_row(row);
+                }
+                if let Some(p) = probs_out.as_deref_mut() {
+                    for (dst, &src) in p.as_mut_slice().iter_mut().zip(scores.as_slice()) {
+                        *dst += src / n_heads as f32;
+                    }
+                }
+                let ctx = scores.matmul_reference(&vh);
+                delta.add_assign(&ctx.matmul_reference(&head.wo));
+            }
+            delta
+        }
+
+        /// The seed's forward pass (reference primitives, copy-on-append
+        /// caches) — the end-to-end oracle for [`Model::forward_rows`].
+        fn forward_rows_reference(
+            &self,
+            tokens: &[TokenId],
+            positions: &[usize],
+            cache: &mut KvCache,
+        ) -> Matrix {
+            let mut x = self.embed_tokens(tokens);
+            let mut k_pos: Vec<usize> = cache.positions.clone();
+            k_pos.extend_from_slice(positions);
+            for layer in 0..self.n_layers() {
+                let (q, k, v) = self.qkv_reference(layer, &x, positions);
+                cache.layers[layer].append_vcat(&k, &v);
+                let lkv = &cache.layers[layer];
+                let delta =
+                    self.attend_reference(layer, &q, positions, &lkv.k, &lkv.v, &k_pos, None);
+                x.add_assign(&delta);
+                if let Some(m) = self.layers[layer].mlp.forward_reference(&x) {
+                    x.add_assign(&m);
+                }
+            }
+            cache.positions.extend_from_slice(positions);
+            cache.tokens.extend_from_slice(tokens);
+            x
+        }
+
+        /// Greedy decode of `prompt` on the reference forward pass and a
+        /// scalar logits product, with [`Model::generate`]'s stop rule.
+        fn generate_reference(&self, prompt: &[TokenId], max_tokens: usize) -> Vec<TokenId> {
+            let mut cache = self.new_cache();
+            let positions: Vec<usize> = (0..prompt.len()).collect();
+            let mut x = self.forward_rows_reference(prompt, &positions, &mut cache);
+            let mut out = Vec::new();
+            for pos in prompt.len()..prompt.len() + max_tokens {
+                let last = x.slice_rows(x.rows() - 1, x.rows());
+                let logits = last.matmul_reference(&self.unembed);
+                let next = ops::argmax(logits.row(0)) as TokenId;
+                if !matches!(self.cfg.vocab.kind(next), TokenKind::Value(_)) {
+                    break;
+                }
+                out.push(next);
+                x = self.forward_rows_reference(&[next], &[pos], &mut cache);
+            }
+            out
+        }
     }
 
     #[test]
@@ -802,7 +777,6 @@ mod tests {
     #[test]
     fn reference_model_matches_blocked_model_end_to_end() {
         let m = tiny();
-        let r = tiny().with_reference_kernels();
         let v = &m.cfg.vocab;
         let toks = vec![
             v.id(TokenKind::Bos),
@@ -816,7 +790,9 @@ mod tests {
             v.id(TokenKind::QMark),
         ];
         let (cf, xf) = m.prefill(&toks);
-        let (cr, xr) = r.prefill(&toks);
+        let mut cr = m.new_cache();
+        let positions: Vec<usize> = (0..toks.len()).collect();
+        let xr = m.forward_rows_reference(&toks, &positions, &mut cr);
         for l in 0..m.n_layers() {
             let d = cf.layers[l].k.frobenius_distance(&cr.layers[l].k)
                 + cf.layers[l].v.frobenius_distance(&cr.layers[l].v);
@@ -824,7 +800,7 @@ mod tests {
         }
         let dl = cb_tensor::stats::l2_distance(xf.row(xf.rows() - 1), xr.row(xr.rows() - 1));
         assert!(dl < 1e-3, "final residual diverges: {dl}");
-        assert_eq!(m.generate(&toks, 4), r.generate(&toks, 4));
+        assert_eq!(m.generate(&toks, 4), m.generate_reference(&toks, 4));
     }
 
     #[test]

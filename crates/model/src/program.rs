@@ -349,12 +349,12 @@ pub fn compile(cfg: ModelConfig) -> Model {
         embed,
         unembed,
         layers,
-        reference_kernels: false,
     }
 }
 
-/// Compiles an all-noise model of the same shape (throughput benches).
-pub fn compile_noise_only(cfg: ModelConfig) -> Model {
+/// Compiles an all-noise model of the same shape (dense weights everywhere).
+#[cfg(test)]
+pub(crate) fn compile_noise_only(cfg: ModelConfig) -> Model {
     let d = cfg.d_model();
     let hd = cfg.head_dim;
     let codebook = CodeBook::new(cfg.vocab.size(), CODE_DIM, cfg.seed);
@@ -379,7 +379,6 @@ pub fn compile_noise_only(cfg: ModelConfig) -> Model {
         embed,
         unembed,
         layers,
-        reference_kernels: false,
     }
 }
 

@@ -207,9 +207,10 @@ impl Mlp {
         }
     }
 
-    /// [`Mlp::forward`] on the seed's scalar reference kernels (the
-    /// "scalar" arm of the throughput benchmarks).
-    pub fn forward_reference(&self, x: &Matrix) -> Option<Matrix> {
+    /// [`Mlp::forward`] on the seed's scalar reference kernels (the test
+    /// oracle for [`Mlp::forward_into`]).
+    #[cfg(test)]
+    pub(crate) fn forward_reference(&self, x: &Matrix) -> Option<Matrix> {
         match self {
             Mlp::None => None,
             Mlp::Bilinear { wg, wu, wd } => {

@@ -2024,23 +2024,27 @@ mod tests {
 
     #[test]
     fn io_counters_move() {
+        // 300 chunk-sized (4 KiB) entries: packed into at most two log
+        // files, appended by group commit, read back one read apiece.
+        const N: u64 = 300;
         let dir = test_dir("io");
         let b = SegmentLogBackend::new(&dir, None).unwrap();
-        for k in 0..64u64 {
-            b.put(k, Bytes::from(vec![0u8; 32])).unwrap();
+        for k in 0..N {
+            b.put(k, Bytes::from(vec![0u8; 4096])).unwrap();
         }
         b.flush().unwrap();
+        assert!(b.log_stats().logs <= 2, "{} log files", b.log_stats().logs);
         let after_write = b.io_ops();
         assert!(
-            after_write.writes < 64,
-            "group commit: 64 appends took {} writes",
+            after_write.writes < N,
+            "group commit: {N} appends took {} writes",
             after_write.writes
         );
-        for k in 0..64u64 {
+        for k in 0..N {
             b.get(k).unwrap().unwrap();
         }
         let after_read = b.io_ops();
-        assert_eq!(after_read.reads - after_write.reads, 64);
+        assert_eq!(after_read.reads - after_write.reads, N);
         assert_eq!(
             after_read.opens, after_write.opens,
             "reads go through cached handles — zero opens"

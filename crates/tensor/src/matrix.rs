@@ -41,8 +41,8 @@
 //!   cost more than the tiles save.
 //! - **Reference kernels** ([`Matrix::matmul_reference`],
 //!   [`Matrix::matmul_transposed_reference`]): the original scalar loops,
-//!   kept verbatim as the parity baseline for tests and the "scalar" arm
-//!   of the throughput benchmarks.
+//!   kept verbatim as the parity baseline for tests (this crate's and
+//!   `cb-model`'s; no production path calls them).
 //!
 //! `rows × cols` values stored contiguously; row `r` occupies
 //! `data[r*cols .. (r+1)*cols]`. This is the only tensor type the
@@ -753,7 +753,7 @@ impl Matrix {
     }
 
     /// The seed's scalar `matmul` (ikj loop with a per-element zero skip),
-    /// kept verbatim as the parity/throughput baseline.
+    /// kept verbatim as the tests' parity baseline.
     pub fn matmul_reference(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
@@ -778,7 +778,7 @@ impl Matrix {
     }
 
     /// The seed's scalar `matmul_transposed` (single sequential dot per
-    /// output element), kept verbatim as the parity/throughput baseline.
+    /// output element), kept verbatim as the tests' parity baseline.
     pub fn matmul_transposed_reference(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,

@@ -177,7 +177,9 @@ fn blending_from_quantized_caches_preserves_answers() {
     // §8: KV compression is complementary — int8-stored caches quarter
     // the load bytes, and the program's decision margins absorb the
     // quantization noise. (This path stays on the hand-wired fusor: the
-    // engine's store holds exact entries.)
+    // engine's store holds exact entries.) The blend output itself stays
+    // close too: no element of the final residual moves by half the exact
+    // residual's max-abs.
     use cacheblend::kv::quantize::{decode_quantized, encode_quantized};
     let m = model();
     let ds = Dataset::standard(DatasetKind::MusiqueSim, 7);
@@ -186,13 +188,23 @@ fn blending_from_quantized_caches_preserves_answers() {
     let n = 8;
     for case in ds.cases.iter().take(n) {
         let ctx = ds.retrieve(case, 6);
-        let exact = fusor.answer(parts_for(&m, &ds, &ctx), &case.query, 8);
+        let mut exact = fusor.blend(parts_for(&m, &ds, &ctx), &case.query, false);
         let quantized: Vec<KvCache> = parts_for(&m, &ds, &ctx)
             .iter()
             .map(|c| decode_quantized(encode_quantized(c)).unwrap())
             .collect();
-        let q_ans = fusor.answer(quantized, &case.query, 8);
-        if q_ans == exact {
+        let mut cold = fusor.blend(quantized, &case.query, false);
+        let scale = (exact.last_residual.iter()).fold(0.0f32, |a, &v| a.max(v.abs()));
+        let worst = (exact.last_residual.iter())
+            .zip(&cold.last_residual)
+            .fold(0.0f32, |a, (&e, &q)| a.max((e - q).abs()));
+        assert!(
+            worst < 0.5 * scale,
+            "quantized blend deviates by {worst} (exact max-abs {scale})"
+        );
+        let exact_ans = m.decode_greedy(&mut exact.cache, &exact.last_residual, 8);
+        let cold_ans = m.decode_greedy(&mut cold.cache, &cold.last_residual, 8);
+        if cold_ans == exact_ans {
             agree += 1;
         }
     }
