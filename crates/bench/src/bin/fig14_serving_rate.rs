@@ -3,11 +3,10 @@
 //! Flags:
 //!
 //! - `--smoke` — shrunken grids (seconds, for CI).
-//! - `--backend analytic|engine|cluster|net-cluster|both` — the
-//!   delay-model arm (default), the closed-loop real-engine arm, the
-//!   multi-replica cluster arm, the cluster arm driven explicitly through
-//!   the `cb-net` control plane with a measured routing-hop latency tax
-//!   (both emit `BENCH_cluster.json`), or analytic+engine.
+//! - `--backend analytic|engine|net-cluster|both` — the delay-model arm
+//!   (default), the closed-loop real-engine arm, the multi-replica
+//!   cluster arm behind the `cb-net` gateway with a measured routing-hop
+//!   latency tax (emits `BENCH_cluster.json`), or analytic+engine.
 //! - `--replicas N` — largest replica count for the cluster arm
 //!   (default 2; the grid always includes 1 and 2).
 //! - `--chaos` — with `--backend net-cluster`, also run the fault drill:
@@ -29,17 +28,16 @@ fn main() {
         Some(i) => match args.get(i + 1).map(String::as_str) {
             Some("analytic") => BackendArm::Analytic,
             Some("engine") => BackendArm::Engine,
-            Some("cluster") => BackendArm::Cluster,
             Some("net-cluster") => BackendArm::NetCluster,
             Some("both") => BackendArm::Both,
             Some(other) => {
                 eprintln!(
-                    "unknown --backend {other:?} (expected analytic|engine|cluster|net-cluster|both)"
+                    "unknown --backend {other:?} (expected analytic|engine|net-cluster|both)"
                 );
                 std::process::exit(2);
             }
             None => {
-                eprintln!("--backend requires a value (analytic|engine|cluster|net-cluster|both)");
+                eprintln!("--backend requires a value (analytic|engine|net-cluster|both)");
                 std::process::exit(2);
             }
         },

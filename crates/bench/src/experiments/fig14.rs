@@ -15,21 +15,19 @@
 //!   engine latencies. The rate grid is normalized to a measured probe of
 //!   the warm blend service time, mirroring how the analytic grid is
 //!   normalized to the modeled full-prefill time.
-//! - **cluster** — scale-out: N engine replicas behind the
-//!   [`ClusterService`] locality router, each with its own RAM tier over
-//!   one *shared* persistent tier. Admission costs are measured by really
+//! - **net-cluster** — scale-out: N engine replicas behind the `cb-net`
+//!   [`Gateway`] locality router, each a loopback worker with its own RAM
+//!   tier over one *shared* persistent tier, so every submission crosses
+//!   the full frame/wire codec. Admission costs are measured by really
 //!   serving every request at its routed replica; the multi-server
 //!   queueing (per-replica busy clocks, spill on virtual backlog) is
 //!   composed in virtual time — the same methodology as the engine arm,
 //!   extended to N servers, so the replicas-vs-goodput curve reflects the
-//!   design rather than the host's core count. Emits
-//!   `target/experiments/BENCH_cluster.json`. Since the `cb-net` control
-//!   plane landed, every cluster submission crosses the full frame/wire
-//!   codec over loopback transports.
-//! - **net-cluster** — the cluster arm labeled for the network control
-//!   plane, plus a measured *routing-hop latency tax*: the per-request
-//!   overhead of gateway routing + frame codec + event relay over a
-//!   direct in-process submit on the same warm engine. With
+//!   design rather than the host's core count. A measured *routing-hop
+//!   latency tax* rides along: the per-request overhead of gateway
+//!   routing + frame codec + event relay over a direct in-process submit
+//!   on the same warm engine. Emits
+//!   `target/experiments/BENCH_cluster.json`. With
 //!   [`Fig14Opts::chaos`], a fault drill rides along: the same workload
 //!   is served twice — undisturbed, and with a **deterministic kill
 //!   schedule** (one worker's connection severed mid-run, then
@@ -39,17 +37,18 @@
 //!
 //! [`ServingBackend`]: cb_serving::backend::ServingBackend
 //! [`EngineService`]: cb_core::scheduler::EngineService
-//! [`ClusterService`]: cb_serving::cluster::ClusterService
+//! [`Gateway`]: cb_net::Gateway
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cb_baselines::SchemeKind;
 use cb_core::engine::{ChunkSource, EngineBuilder, Request as EngineRequest, StorageConfig};
-use cb_core::scheduler::ServiceConfig;
+use cb_core::scheduler::{EngineService, ServiceConfig};
 use cb_kv::ChunkId;
 use cb_model::ModelProfile;
+use cb_net::{Gateway, GatewayConfig, Worker, WorkerConfig};
 use cb_serving::backend::EngineBackend;
-use cb_serving::cluster::ClusterService;
 use cb_serving::sim::{ServingConfig, Simulator};
 use cb_serving::stats::LatencySummary;
 use cb_serving::workload::{Workload, WorkloadConfig};
@@ -66,12 +65,9 @@ pub enum BackendArm {
     Analytic,
     /// Real engine measurements only.
     Engine,
-    /// Multi-replica cluster serving (emits `BENCH_cluster.json`).
-    Cluster,
-    /// Cluster serving through the `cb-net` control plane explicitly:
-    /// same measured methodology as `Cluster`, labeled `net-cluster`,
-    /// plus a measured routing-hop latency tax (gateway + wire codec
-    /// overhead per request vs. a direct in-process submit). Emits
+    /// Multi-replica cluster serving through the `cb-net` gateway, plus a
+    /// measured routing-hop latency tax (gateway + wire codec overhead
+    /// per request vs. a direct in-process submit). Emits
     /// `BENCH_cluster.json`.
     NetCluster,
     /// Analytic + engine arms.
@@ -132,11 +128,8 @@ pub fn run_opts(opts: Fig14Opts) {
     if !rows.is_empty() {
         emit("fig14_serving_rate", &rows);
     }
-    if opts.backend == BackendArm::Cluster {
-        cluster_arm(opts.smoke, opts.replicas, false);
-    }
     if opts.backend == BackendArm::NetCluster {
-        cluster_arm(opts.smoke, opts.replicas, true);
+        cluster_arm(opts.smoke, opts.replicas);
         if opts.chaos {
             chaos_arm(opts.smoke);
         }
@@ -261,6 +254,25 @@ fn engine_arm(smoke: bool, rows: &mut Vec<Row>) {
     }
 }
 
+/// `n` replicas built by `engine`, each behind a one-thread scheduler
+/// and attached to one gateway as a loopback worker.
+fn local_cluster(n: usize, engine: impl Fn() -> EngineBuilder) -> (Gateway, Vec<Worker>) {
+    let gateway = Gateway::new(GatewayConfig::default());
+    let cfg = ServiceConfig::default().workers(1).queue_capacity(64);
+    let workers = (0..n)
+        .map(|_| {
+            let service = EngineService::new(engine().build().expect("replica builds"), cfg);
+            let attached = gateway.attach_local(Arc::new(service), WorkerConfig::default());
+            attached.expect("loopback worker attaches").0
+        })
+        .collect();
+    (gateway, workers)
+}
+
+fn tiny_engine() -> EngineBuilder {
+    EngineBuilder::new(ModelProfile::Tiny).seed(11)
+}
+
 /// What one cluster run measured.
 struct ClusterPoint {
     ttft: LatencySummary,
@@ -297,32 +309,17 @@ fn run_cluster_point(
         let cache = cb_kv::precompute::precompute_chunk(&probe_model, &tokens);
         cb_kv::serialize::encode(&cache).len() as u64
     };
-    let cluster = ClusterService::build(
-        replicas,
-        ServiceConfig::default().workers(1).queue_capacity(64),
-        |_| {
-            EngineBuilder::new(ModelProfile::Tiny)
-                .seed(11)
-                .storage(
-                    StorageConfig::default()
-                        .tier(
-                            DeviceKind::CpuRam,
-                            ram_entries * (entry_bytes + entry_bytes / 4),
-                        )
-                        .shared_disk_tier(DeviceKind::NvmeSsd, 1 << 30, dir, false),
-                )
-                .build()
-        },
-    )
-    .expect("cluster builds");
+    let ram_bytes = ram_entries * (entry_bytes + entry_bytes / 4);
+    let (cluster, _workers) = local_cluster(replicas, || {
+        tiny_engine().storage(
+            StorageConfig::default()
+                .tier(DeviceKind::CpuRam, ram_bytes)
+                .shared_disk_tier(DeviceKind::NvmeSsd, 1 << 30, dir, false),
+        )
+    });
 
-    let vocab = cluster.replica(0).engine().model().cfg.vocab.clone();
-    let query = vec![
-        vocab.id(TokenKind::Query),
-        vocab.id(TokenKind::Entity(0)),
-        vocab.id(TokenKind::Attr(0)),
-        vocab.id(TokenKind::QMark),
-    ];
+    let vocab = probe_model.cfg.vocab.clone();
+    let query = cluster_query(&vocab);
     let mut chunk_map: HashMap<u64, ChunkId> = HashMap::new();
     let mut map_chunk = |sim_id: u64| -> ChunkId {
         if let Some(&id) = chunk_map.get(&sim_id) {
@@ -426,6 +423,18 @@ fn sim_chunk_tokens(v: &cb_tokenizer::Vocab, sim_id: u64) -> Vec<TokenId> {
     ]
 }
 
+/// The one query every cluster-arm request asks.
+fn cluster_query(v: &cb_tokenizer::Vocab) -> Vec<TokenId> {
+    [
+        TokenKind::Query,
+        TokenKind::Entity(0),
+        TokenKind::Attr(0),
+        TokenKind::QMark,
+    ]
+    .map(|k| v.id(k))
+    .to_vec()
+}
+
 /// The chunk-skewed cluster workload: a hot chunk set (Zipf 1.1) shared
 /// across query groups, so locality routing has something to exploit.
 fn cluster_workload(rate: f64, n_requests: usize) -> Workload {
@@ -448,13 +457,8 @@ fn cluster_workload(rate: f64, n_requests: usize) -> Workload {
 /// arm normalizes its rate grid and deadline to this, exactly as the
 /// engine arm normalizes to its own in-process probe.
 fn net_warm_service_time_s() -> f64 {
-    let cluster = ClusterService::build(
-        1,
-        ServiceConfig::default().workers(1).queue_capacity(64),
-        |_| EngineBuilder::new(ModelProfile::Tiny).seed(11).build(),
-    )
-    .expect("cluster builds");
-    let vocab = cluster.replica(0).engine().model().cfg.vocab.clone();
+    let (cluster, workers) = local_cluster(1, tiny_engine);
+    let vocab = workers[0].service().engine().model().cfg.vocab.clone();
     let chunks: Vec<Vec<TokenId>> = (0..4u32)
         .map(|j| {
             vec![
@@ -468,12 +472,7 @@ fn net_warm_service_time_s() -> f64 {
     let ids = cluster
         .register_chunks(&chunks)
         .expect("probe chunks register");
-    let query = vec![
-        vocab.id(TokenKind::Query),
-        vocab.id(TokenKind::Entity(0)),
-        vocab.id(TokenKind::Attr(0)),
-        vocab.id(TokenKind::QMark),
-    ];
+    let query = cluster_query(&vocab);
     let mk = || EngineRequest::new(ids.clone(), query.clone()).max_new_tokens(4);
     cluster.submit_to(0, mk()).collect().expect("probe serves");
     // Median of per-request samples: on a loaded single-core host one
@@ -497,25 +496,16 @@ fn net_warm_service_time_s() -> f64 {
 /// event relay) over a direct in-process `EngineService` submit of the
 /// identical warm request. Returns `(direct_median_us, net_median_us)`.
 fn routing_hop_tax_us(warm_requests: usize) -> (f64, f64) {
-    let cluster = ClusterService::build(
-        1,
-        ServiceConfig::default().workers(1).queue_capacity(64),
-        |_| EngineBuilder::new(ModelProfile::Tiny).seed(11).build(),
-    )
-    .expect("cluster builds");
-    let vocab = cluster.replica(0).engine().model().cfg.vocab.clone();
+    let (cluster, workers) = local_cluster(1, tiny_engine);
+    let replica = workers[0].service();
+    let vocab = replica.engine().model().cfg.vocab.clone();
     let tokens = sim_chunk_tokens(&vocab, 7);
     let id = cluster.register_chunk(&tokens).expect("chunk registers");
-    let query = vec![
-        vocab.id(TokenKind::Query),
-        vocab.id(TokenKind::Entity(0)),
-        vocab.id(TokenKind::Attr(0)),
-        vocab.id(TokenKind::QMark),
-    ];
+    let query = cluster_query(&vocab);
     let mk = || EngineRequest::new(vec![id], query.clone()).max_new_tokens(1);
     // Warm both paths (store warm, threads paged in) before timing.
     for _ in 0..5 {
-        cluster.replica(0).submit(mk()).expect("warmup serves");
+        replica.submit(mk()).expect("warmup serves");
         cluster.submit_to(0, mk()).collect().expect("warmup serves");
     }
     // Interleave short blocks of each path and take per-request medians,
@@ -526,7 +516,7 @@ fn routing_hop_tax_us(warm_requests: usize) -> (f64, f64) {
     while direct.len() < warm_requests {
         for _ in 0..5.min(warm_requests - direct.len()) {
             let t = std::time::Instant::now();
-            cluster.replica(0).submit(mk()).expect("direct path serves");
+            replica.submit(mk()).expect("direct path serves");
             direct.push(t.elapsed().as_secs_f64() * 1e6);
         }
         for _ in 0..5.min(warm_requests - net.len()) {
@@ -545,8 +535,7 @@ fn routing_hop_tax_us(warm_requests: usize) -> (f64, f64) {
     (median(direct), median(net))
 }
 
-fn cluster_arm(smoke: bool, max_replicas: usize, net: bool) {
-    let backend_label = if net { "net-cluster" } else { "cluster" };
+fn cluster_arm(smoke: bool, max_replicas: usize) {
     // The smoke workload is long enough that the single replica's
     // saturated makespan dominates its deadline-met count — the goodput
     // ratio then depends on the queueing structure, not on probe noise.
@@ -558,9 +547,8 @@ fn cluster_arm(smoke: bool, max_replicas: usize, net: bool) {
     }
 
     // Normalize rates to the measured warm single-worker service time,
-    // exactly like the engine arm. Both cluster arms serve through the
-    // control plane (ClusterService is a gateway facade), so the probe
-    // goes through the same path — the wire overhead sits inside the
+    // exactly like the engine arm. The arm serves through the control
+    // plane, so the probe goes through the same path — the wire overhead sits inside the
     // normalization, not as noise against a deadline calibrated for a
     // path the arm never takes.
     let warm_s = net_warm_service_time_s();
@@ -590,7 +578,7 @@ fn cluster_arm(smoke: bool, max_replicas: usize, net: bool) {
                 .join("/");
             rows.push(
                 Row::new("cluster")
-                    .col("backend", backend_label)
+                    .col("backend", "net-cluster")
                     .col("replicas", replicas)
                     .num("rate_rps", rate)
                     .num("rate_mult", mult)
@@ -606,24 +594,22 @@ fn cluster_arm(smoke: bool, max_replicas: usize, net: bool) {
             );
         }
     }
-    if net {
-        // The price of the wire boundary, measured head-to-head on the
-        // same warm single-replica engine.
-        let (direct_us, net_us) = routing_hop_tax_us(if smoke { 40 } else { 120 });
-        let tax_us = (net_us - direct_us).max(0.0);
-        println!(
-            "routing-hop latency tax: direct {direct_us:.1}µs → net {net_us:.1}µs \
-             (+{tax_us:.1}µs/request)"
-        );
-        rows.push(
-            Row::new("cluster")
-                .col("backend", backend_label)
-                .col("metric", "routing_hop_tax")
-                .num("direct_median_us", direct_us)
-                .num("net_median_us", net_us)
-                .num("hop_tax_us", tax_us),
-        );
-    }
+    // The price of the wire boundary, measured head-to-head on the same
+    // warm single-replica engine.
+    let (direct_us, net_us) = routing_hop_tax_us(if smoke { 40 } else { 120 });
+    let tax_us = (net_us - direct_us).max(0.0);
+    println!(
+        "routing-hop latency tax: direct {direct_us:.1}µs → net {net_us:.1}µs \
+         (+{tax_us:.1}µs/request)"
+    );
+    rows.push(
+        Row::new("cluster")
+            .col("backend", "net-cluster")
+            .col("metric", "routing_hop_tax")
+            .num("direct_median_us", direct_us)
+            .num("net_median_us", net_us)
+            .num("hop_tax_us", tax_us),
+    );
     emit("BENCH_cluster", &rows);
 
     // The scale-out acceptance bar: at the saturating rate, two replicas
@@ -662,19 +648,9 @@ struct ChaosPoint {
 /// collector thread.
 fn run_chaos_point(n_requests: usize, kill_after_wave: Option<usize>) -> ChaosPoint {
     const WAVE: usize = 8;
-    let mut cluster = ClusterService::build(
-        2,
-        ServiceConfig::default().workers(1).queue_capacity(64),
-        |_| EngineBuilder::new(ModelProfile::Tiny).seed(11).build(),
-    )
-    .expect("cluster builds");
-    let vocab = cluster.replica(0).engine().model().cfg.vocab.clone();
-    let query = vec![
-        vocab.id(TokenKind::Query),
-        vocab.id(TokenKind::Entity(0)),
-        vocab.id(TokenKind::Attr(0)),
-        vocab.id(TokenKind::QMark),
-    ];
+    let (cluster, mut workers) = local_cluster(2, tiny_engine);
+    let vocab = workers[0].service().engine().model().cfg.vocab.clone();
+    let query = cluster_query(&vocab);
     let workload = cluster_workload(1.0, n_requests);
     // Register every chunk up front so the run itself measures serving,
     // not registration.
@@ -732,7 +708,9 @@ fn run_chaos_point(n_requests: usize, kill_after_wave: Option<usize>) -> ChaosPo
             // The kill: replica 0's connection dies abruptly with the
             // wave in flight; stranded requests retry on replica 1 while
             // the bounced worker re-attaches and adopts its slot.
-            cluster.bounce_replica(0);
+            cluster
+                .reattach_local(&mut workers[0], 0, WorkerConfig::default())
+                .expect("the killed worker re-attaches");
         }
         for c in collectors {
             let (first, ok) = c.join().expect("collector thread");

@@ -37,10 +37,10 @@
 //!   journal/chunks/roster over the `Replicate*` feed and takes over on
 //!   primary silence.
 //!
-//! `cb-serving`'s `ClusterService` is now a thin facade: the same
-//! `Gateway` wired to in-process workers over loopback transports, so
-//! every in-process cluster test exercises this crate's full protocol
-//! path.
+//! The [`Gateway`] is the only cluster API. In-process clusters attach
+//! their workers with [`Gateway::attach_local`] (a loopback transport,
+//! so every in-process cluster test exercises the full protocol path)
+//! and restart one with [`Gateway::reattach_local`].
 
 pub mod client;
 pub mod frame;

@@ -25,18 +25,16 @@
 //! - [`backend`] — the [`backend::ServingBackend`] trait, the analytic
 //!   per-scheme service-time models, and the real-engine backend.
 //! - [`sim`] — the event loop (queueing, TTFT, queue depth, deadlines).
-//! - [`cluster`] — scale-*out*: the [`cluster::ClusterService`] fronting N
-//!   engine replicas with chunk-locality (rendezvous) routing, queue-full
-//!   spill, and health-based failover over a shared persistent tier.
 //! - [`stats`] — latency summaries.
+//!
+//! Scale-*out* serving (N engine replicas behind a chunk-locality router)
+//! is `cb-net`'s `Gateway`, not a simulator concern.
 
 pub mod backend;
-pub mod cluster;
 pub mod sim;
 pub mod stats;
 pub mod workload;
 
 pub use backend::{Admission, AnalyticBackend, BackendSummary, EngineBackend, ServingBackend};
-pub use cluster::{ClusterError, ClusterService, ClusterStats};
 pub use sim::{ServingConfig, ServingStats, Simulator};
 pub use workload::{Request, Workload, WorkloadConfig};

@@ -1,7 +1,9 @@
-//! Scale-out serving: a [`ClusterService`] fronting three engine replicas
-//! with chunk-locality routing, a shared persistent tier, and failover.
+//! Scale-out serving: a [`Gateway`] fronting three engine replicas with
+//! chunk-locality routing, a shared persistent tier, and failover.
 //!
 //! Run with: `cargo run --release --example cluster_serving`
+
+use std::sync::Arc;
 
 use cacheblend::prelude::*;
 use cacheblend::tokenizer::TokenKind::*;
@@ -13,23 +15,30 @@ fn main() {
     // Three replicas: each owns its model, scheduler, and a small RAM
     // tier; all share one persistent log dir (each replica appends its
     // own log series), so any replica can serve any chunk that reached
-    // disk.
-    let cluster = ClusterService::build(
-        3,
-        ServiceConfig::default().workers(1).queue_capacity(8),
-        |_| {
-            EngineBuilder::new(ModelProfile::Tiny)
+    // disk. Each replica is a worker attached to the gateway over an
+    // in-process loopback transport, speaking the same wire protocol a
+    // TCP worker does.
+    let cluster = Gateway::new(GatewayConfig::default());
+    let cfg = ServiceConfig::default().workers(1).queue_capacity(8);
+    let workers: Vec<Worker> = (0..3)
+        .map(|_| {
+            let storage = StorageConfig::default()
+                .tier(DeviceKind::CpuRam, 1 << 20)
+                .shared_disk_tier(DeviceKind::NvmeSsd, 1 << 30, &dir, false);
+            let engine = EngineBuilder::new(ModelProfile::Tiny)
                 .seed(11)
-                .storage(
-                    StorageConfig::default()
-                        .tier(DeviceKind::CpuRam, 1 << 20)
-                        .shared_disk_tier(DeviceKind::NvmeSsd, 1 << 30, &dir, false),
-                )
-                .build()
-        },
-    )
-    .expect("cluster builds");
-    let v = cluster.replica(0).engine().model().cfg.vocab.clone();
+                .storage(storage);
+            let service = Arc::new(EngineService::new(
+                engine.build().expect("replica builds"),
+                cfg,
+            ));
+            cluster
+                .attach_local(service, WorkerConfig::default())
+                .expect("replica attaches")
+                .0
+        })
+        .collect();
+    let v = workers[0].service().engine().model().cfg.vocab.clone();
 
     // Offline: register the chunk corpus cluster-wide. Every replica
     // learns the tokens; the KV cache is precomputed at each chunk's
@@ -72,7 +81,7 @@ fn main() {
     // replicas, which can still serve every chunk (registry is
     // cluster-wide, the persistent tier is shared).
     let victim = cluster.home_of(ids[2]);
-    cluster.set_replica_health(victim, false);
+    cluster.set_worker_health(victim, false);
     let resp = cluster
         .submit(
             // The chunk is homed at the downed replica: the router must
@@ -86,7 +95,7 @@ fn main() {
         "\nreplica {victim} down: request still answered {:?}",
         v.render_seq(&resp.answer)
     );
-    cluster.set_replica_health(victim, true);
+    cluster.set_worker_health(victim, true);
 
     let st = cluster.stats();
     println!("\ncluster stats:");
@@ -100,11 +109,13 @@ fn main() {
         "  spills {}, failovers {}, rejections {}",
         st.spills, st.failovers, st.rejections
     );
-    let agg = cluster.aggregate_service_stats();
-    println!(
-        "  schedulers: completed {}, failed {}, deadline misses {}",
-        agg.completed, agg.failed, agg.deadline_misses
-    );
+    for (i, w) in workers.iter().enumerate() {
+        let s = w.service().stats();
+        println!(
+            "  replica {i} scheduler: completed {}, failed {}, deadline misses {}",
+            s.completed, s.failed, s.deadline_misses
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Watching a cluster run: the `cb-obs` metrics registry and per-request
 //! span timelines, end to end in one process.
 //!
-//! Builds a two-replica [`ClusterService`], serves a handful of traced
+//! Builds a two-replica [`Gateway`] cluster, serves a handful of traced
 //! requests, then:
 //!
 //! 1. scrapes the cluster-aggregated metrics registry (the same
@@ -15,6 +15,8 @@
 //!
 //! [`MetricsSnapshot`]: cacheblend::obs::metrics::MetricsSnapshot
 
+use std::sync::Arc;
+
 use cacheblend::obs::trace::{chrome_trace_json, Tracer};
 use cacheblend::prelude::*;
 use cacheblend::tokenizer::TokenKind::*;
@@ -23,13 +25,19 @@ fn main() {
     // Start the span ring fresh so the export holds exactly this run.
     Tracer::global().clear();
 
-    let cluster = ClusterService::build(
-        2,
-        ServiceConfig::default().workers(1).queue_capacity(8),
-        |_| EngineBuilder::new(ModelProfile::Tiny).seed(11).build(),
-    )
-    .expect("cluster builds");
-    let v = cluster.replica(0).engine().model().cfg.vocab.clone();
+    let cluster = Gateway::new(GatewayConfig::default());
+    let cfg = ServiceConfig::default().workers(1).queue_capacity(8);
+    let workers: Vec<Worker> = (0..2)
+        .map(|_| {
+            let engine = EngineBuilder::new(ModelProfile::Tiny).seed(11).build();
+            let service = Arc::new(EngineService::new(engine.expect("replica builds"), cfg));
+            cluster
+                .attach_local(service, WorkerConfig::default())
+                .expect("replica attaches")
+                .0
+        })
+        .collect();
+    let v = workers[0].service().engine().model().cfg.vocab.clone();
 
     let chunks: Vec<Vec<u32>> = (0..6)
         .map(|i| {

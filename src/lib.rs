@@ -80,10 +80,10 @@ pub mod prelude {
     };
     pub use cb_kv::store::{KvStore, StoreStats};
     pub use cb_model::{config::ModelProfile, model::Model};
+    pub use cb_net::{ClusterError, ClusterStats, Gateway, GatewayConfig, Worker, WorkerConfig};
     pub use cb_rag::{
         datasets::DatasetKind,
         metrics::{f1_score, rouge_l},
     };
-    pub use cb_serving::cluster::{ClusterError, ClusterService, ClusterStats};
     pub use cb_storage::device::DeviceKind;
 }

@@ -2,11 +2,11 @@
 //! persistent tier, and failover under injected replica faults.
 
 use cacheblend::prelude::*;
-use cacheblend::serving::cluster::ClusterService;
 use cacheblend::tokenizer::TokenKind::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -21,18 +21,32 @@ fn test_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-/// A RAM-only cluster of `n` replicas compiled from one profile/seed.
-fn ram_cluster(n: usize) -> ClusterService {
-    ClusterService::build(
-        n,
-        ServiceConfig::default().workers(1).queue_capacity(32),
-        |_| EngineBuilder::new(ModelProfile::Tiny).seed(11).build(),
-    )
-    .unwrap()
+/// A gateway over `n` replicas built by `engine`, each behind a
+/// one-thread scheduler with an admission queue of `capacity`.
+fn local_cluster(
+    n: usize,
+    capacity: usize,
+    engine: impl Fn() -> EngineBuilder,
+) -> (Gateway, Vec<Worker>) {
+    let gateway = Gateway::new(GatewayConfig::default());
+    let cfg = ServiceConfig::default().workers(1).queue_capacity(capacity);
+    let workers = (0..n)
+        .map(|_| {
+            let service = Arc::new(EngineService::new(engine().build().unwrap(), cfg));
+            let attached = gateway.attach_local(service, WorkerConfig::default());
+            attached.unwrap().0
+        })
+        .collect();
+    (gateway, workers)
 }
 
-fn corpus(cluster: &ClusterService) -> (Vec<Vec<u32>>, Vec<u32>) {
-    let v = cluster.replica(0).engine().model().cfg.vocab.clone();
+/// A RAM-only cluster of `n` replicas compiled from one profile/seed.
+fn ram_cluster(n: usize) -> (Gateway, Vec<Worker>) {
+    local_cluster(n, 32, || EngineBuilder::new(ModelProfile::Tiny).seed(11))
+}
+
+fn corpus() -> (Vec<Vec<u32>>, Vec<u32>) {
+    let v = cacheblend::tokenizer::Vocab::default_eval();
     let chunks: Vec<Vec<u32>> = (0..10)
         .map(|i| {
             vec![
@@ -50,8 +64,8 @@ fn corpus(cluster: &ClusterService) -> (Vec<Vec<u32>>, Vec<u32>) {
 /// Runs one seeded request sequence through a cluster and returns every
 /// response's (answer, ratio, ctx_len, sources-as-hits) fingerprint in
 /// submission order.
-fn run_sequence(cluster: &ClusterService, n_requests: usize) -> Vec<(Vec<u32>, f32, usize)> {
-    let (chunks, q) = corpus(cluster);
+fn run_sequence(cluster: &Gateway, n_requests: usize) -> Vec<(Vec<u32>, f32, usize)> {
+    let (chunks, q) = corpus();
     let ids = cluster.register_chunks(&chunks).unwrap();
     let mut rng = SmallRng::seed_from_u64(0xDE_7E12);
     let streams: Vec<_> = (0..n_requests)
@@ -83,9 +97,9 @@ fn run_sequence(cluster: &ClusterService, n_requests: usize) -> Vec<(Vec<u32>, f
 fn replica_count_never_changes_request_results() {
     for threads in [1usize, 4] {
         cacheblend::tensor::pool::set_threads(threads);
-        let single = run_sequence(&ram_cluster(1), 24);
+        let single = run_sequence(&ram_cluster(1).0, 24);
         for replicas in [2usize, 3] {
-            let multi = run_sequence(&ram_cluster(replicas), 24);
+            let multi = run_sequence(&ram_cluster(replicas).0, 24);
             assert_eq!(
                 single, multi,
                 "threads {threads}: {replicas}-replica output diverged from 1-replica"
@@ -101,31 +115,23 @@ fn replica_count_never_changes_request_results() {
 #[test]
 fn non_home_replicas_serve_from_the_shared_tier() {
     let dir = test_dir("shared-tier");
-    let cluster = ClusterService::build(
-        2,
-        ServiceConfig::default().workers(1).queue_capacity(8),
-        |_| {
-            EngineBuilder::new(ModelProfile::Tiny)
-                .seed(11)
-                .storage(
-                    StorageConfig::default()
-                        .tier(DeviceKind::CpuRam, 1 << 20)
-                        .shared_disk_tier(DeviceKind::NvmeSsd, 1 << 30, &dir, false),
-                )
-                .build()
-        },
-    )
-    .unwrap();
-    let (chunks, q) = corpus(&cluster);
+    let (cluster, workers) = local_cluster(2, 8, || {
+        EngineBuilder::new(ModelProfile::Tiny).seed(11).storage(
+            StorageConfig::default()
+                .tier(DeviceKind::CpuRam, 1 << 20)
+                .shared_disk_tier(DeviceKind::NvmeSsd, 1 << 30, &dir, false),
+        )
+    });
+    let (chunks, q) = corpus();
     let ids = cluster.register_chunks(&chunks).unwrap();
 
     // Registration itself replicated every home cache onto the shared
     // persistent tier (no explicit persist needed); drain the
     // write-behind flushers so the records are discoverable on disk.
-    for r in 0..2 {
-        cluster.replica(r).engine().flush_storage().unwrap();
+    for w in &workers {
+        w.service().engine().flush_storage().unwrap();
         assert!(
-            cluster.replica(r).engine().store().tier_len(0) > 0,
+            w.service().engine().store().tier_len(0) > 0,
             "home caches stay RAM-resident — replication does not demote"
         );
     }
@@ -149,8 +155,9 @@ fn non_home_replicas_serve_from_the_shared_tier() {
             "chunk {id:?} served away from home must hit the shared tier"
         );
     }
-    let discovered: u64 = (0..2)
-        .map(|r| cluster.replica(r).engine().store().stats().discovered)
+    let discovered: u64 = workers
+        .iter()
+        .map(|w| w.service().engine().store().stats().discovered)
         .sum();
     assert!(
         discovered > 0,
@@ -164,8 +171,8 @@ fn non_home_replicas_serve_from_the_shared_tier() {
 /// than hung.
 #[test]
 fn faults_reroute_without_losing_requests() {
-    let cluster = ram_cluster(3);
-    let (chunks, q) = corpus(&cluster);
+    let (cluster, workers) = ram_cluster(3);
+    let (chunks, q) = corpus();
     let ids = cluster.register_chunks(&chunks).unwrap();
     let mut rng = SmallRng::seed_from_u64(0xFA_017);
     let mut served = 0u64;
@@ -173,7 +180,7 @@ fn faults_reroute_without_losing_requests() {
         // Rotate a victim down every few requests.
         if round % 5 == 0 {
             for r in 0..3 {
-                cluster.set_replica_health(r, r != (round / 5) % 3);
+                cluster.set_worker_health(r, r != (round / 5) % 3);
             }
         }
         let set: Vec<_> = (0..3)
@@ -186,7 +193,8 @@ fn faults_reroute_without_losing_requests() {
         served += 1;
     }
     assert_eq!(served, 30);
-    assert_eq!(cluster.aggregate_service_stats().completed, 30);
+    let completed: u64 = workers.iter().map(|w| w.service().stats().completed).sum();
+    assert_eq!(completed, 30);
     assert!(
         cluster.stats().failovers > 0,
         "rotating victims must have forced failovers"
@@ -194,7 +202,7 @@ fn faults_reroute_without_losing_requests() {
 
     // Total outage: reported, not hung.
     for r in 0..3 {
-        cluster.set_replica_health(r, false);
+        cluster.set_worker_health(r, false);
     }
     assert!(cluster
         .submit_stream(Request::new(vec![ids[0]], q))

@@ -5,6 +5,7 @@
 //! mid-stream retry (fuzzed across every kill position), and warm-standby
 //! gateway takeover with client resume.
 
+use cacheblend::engine::ErrorCode;
 use cacheblend::kv::chunk::ChunkId;
 use cacheblend::net::frame::{
     decode_frame, encode_frame, read_frame, FRAME_VERSION, HEADER_LEN, MAX_FRAME_PAYLOAD,
@@ -19,7 +20,6 @@ use cacheblend::net::{
 };
 use cacheblend::prelude::*;
 use cacheblend::scheduler::ServiceProbe;
-use cacheblend::serving::cluster::ClusterService;
 use cacheblend::tokenizer::TokenKind::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -240,17 +240,17 @@ fn seeded_requests(ids: &[ChunkId], q: &[u32], n: usize) -> Vec<Request> {
         .collect()
 }
 
-fn tiny_service() -> EngineService {
-    EngineService::new(
+fn tiny_service() -> Arc<EngineService> {
+    Arc::new(EngineService::new(
         EngineBuilder::new(ModelProfile::Tiny)
             .seed(11)
             .build()
             .unwrap(),
         ServiceConfig::default().workers(1).queue_capacity(32),
-    )
+    ))
 }
 
-/// The same seeded workload served through the in-process loopback facade
+/// The same seeded workload served through an in-process loopback cluster
 /// and through a real TCP gateway + workers + client yields identical
 /// results — the transports differ only in plumbing, never in behavior.
 #[test]
@@ -258,8 +258,12 @@ fn loopback_and_tcp_clusters_serve_identical_results() {
     let _guard = serial();
     let (chunks, q) = eval_corpus();
 
-    // Loopback arm: the `ClusterService` facade.
-    let loopback = ClusterService::new(vec![tiny_service(), tiny_service()]);
+    // Loopback arm: the same gateway, workers attached in-process.
+    let loopback = Gateway::new(GatewayConfig::default());
+    let _loop_workers: Vec<_> = (0..2)
+        .map(|_| loopback.attach_local(tiny_service(), WorkerConfig::default()))
+        .collect::<Result<_, _>>()
+        .unwrap();
     let loop_ids = loopback.register_chunks(&chunks).unwrap();
 
     // TCP arm: gateway and two workers joined over real sockets.
@@ -279,7 +283,7 @@ fn loopback_and_tcp_clusters_serve_identical_results() {
     let _workers: Vec<Worker> = (0..2)
         .map(|_| {
             Worker::start(
-                Arc::new(tiny_service()),
+                tiny_service(),
                 Arc::new(TcpTransport::connect(addr).unwrap()),
                 WorkerConfig::default(),
             )
@@ -329,15 +333,8 @@ fn heartbeat_partition_fails_over_once_and_loses_no_requests() {
         Gateway::new(GatewayConfig::default().heartbeat_timeout(Duration::from_millis(400)));
     let workers: Vec<Worker> = (0..2)
         .map(|_| {
-            let (worker_end, gateway_end) = loopback_pair();
-            let worker = Worker::start(
-                Arc::new(tiny_service()),
-                Arc::new(worker_end),
-                WorkerConfig::default().heartbeat_interval(Duration::from_millis(20)),
-            )
-            .unwrap();
-            gateway.attach(Arc::new(gateway_end)).unwrap();
-            worker
+            let cfg = WorkerConfig::default().heartbeat_interval(Duration::from_millis(20));
+            gateway.attach_local(tiny_service(), cfg).unwrap().0
         })
         .collect();
     let (chunks, q) = eval_corpus();
@@ -420,7 +417,10 @@ fn heartbeat_partition_fails_over_once_and_loses_no_requests() {
 #[test]
 fn error_detail_survives_the_wire() {
     let _guard = serial();
-    let cluster = ClusterService::new(vec![tiny_service()]);
+    let cluster = Gateway::new(GatewayConfig::default());
+    let _worker = cluster
+        .attach_local(tiny_service(), WorkerConfig::default())
+        .unwrap();
     let v = cacheblend::tokenizer::Vocab::default_eval();
     let bogus = ChunkId(0xDEAD_BEEF_CAFE);
     let err = cluster
@@ -435,6 +435,47 @@ fn error_detail_survives_the_wire() {
         EngineError::UnknownChunk(bogus),
         "the failing chunk id must survive worker → gateway → client"
     );
+}
+
+/// A gateway with no worker attached yet (`cb_gateway` accepts clients
+/// before its expected workers dial in) answers a client's registration
+/// and submission with the structured "no healthy worker" error, not a
+/// dead session and an RPC timeout. Once a worker attaches, the same
+/// session serves.
+#[test]
+fn empty_roster_answers_no_healthy_worker_then_serves() {
+    let _guard = serial();
+    let gateway = Gateway::new(GatewayConfig::default());
+    let (client_end, gateway_end) = loopback_pair();
+    let client = NetClient::connect(Arc::new(client_end)).unwrap();
+    gateway.accept(Arc::new(gateway_end)).unwrap();
+    let (chunks, q) = eval_corpus();
+    let reg = client.register_chunk(&chunks[0], true).unwrap_err();
+    let sub = client.submit(&Request::new(vec![ChunkId(1)], q.clone()));
+    for (what, err) in [("registration", reg), ("submission", sub.unwrap_err())] {
+        assert!(
+            matches!(
+                err,
+                EngineError::Remote {
+                    code: ErrorCode::NoHealthyWorker,
+                    ..
+                }
+            ),
+            "{what}: expected NoHealthyWorker, got {err:?}"
+        );
+    }
+    assert_eq!(gateway.stats().rejections, 1);
+
+    let _worker = gateway
+        .attach_local(tiny_service(), WorkerConfig::default())
+        .unwrap();
+    let id = client
+        .register_chunk(&chunks[0], true)
+        .expect("registration succeeds once a worker attached");
+    let resp = client
+        .submit(&Request::new(vec![id], q).ratio(0.45).max_new_tokens(2))
+        .expect("the same session serves once a worker attached");
+    assert!(resp.blend.stats.ctx_len > 0, "request really blended");
 }
 
 // ---------------------------------------------------------------------------
@@ -720,9 +761,9 @@ fn tcp_worker_death_mid_stream_is_invisible_to_the_collector() {
     // socket exactly as a SIGKILL would.
     let w0_conn = Arc::new(TcpTransport::connect(addr).unwrap());
     let w0_dyn: Arc<dyn Transport> = w0_conn.clone();
-    let _w0 = Worker::start(Arc::new(tiny_service()), w0_dyn, WorkerConfig::default()).unwrap();
+    let _w0 = Worker::start(tiny_service(), w0_dyn, WorkerConfig::default()).unwrap();
     let _w1 = Worker::start(
-        Arc::new(tiny_service()),
+        tiny_service(),
         Arc::new(TcpTransport::connect(addr).unwrap()),
         WorkerConfig::default(),
     )
@@ -795,21 +836,12 @@ fn standby_mirrors_and_takes_over_without_losing_chunks() {
     let _guard = serial();
     let cfg = GatewayConfig::default().heartbeat_timeout(Duration::from_millis(400));
     let primary = Gateway::new(cfg);
-    let services: Vec<Arc<EngineService>> = (0..2).map(|_| Arc::new(tiny_service())).collect();
     let worker_ids = [0xAu64, 0xB];
-    let _workers: Vec<Worker> = (0..2)
+    let worker_cfg = WorkerConfig::default().heartbeat_interval(Duration::from_millis(20));
+    let mut workers: Vec<Worker> = (0..2)
         .map(|i| {
-            let (worker_end, gateway_end) = loopback_pair();
-            let w = Worker::start(
-                Arc::clone(&services[i]),
-                Arc::new(worker_end),
-                WorkerConfig::default()
-                    .identity(worker_ids[i], 1)
-                    .heartbeat_interval(Duration::from_millis(20)),
-            )
-            .unwrap();
-            primary.attach(Arc::new(gateway_end)).unwrap();
-            w
+            let cfg = worker_cfg.identity(worker_ids[i], 1);
+            primary.attach_local(tiny_service(), cfg).unwrap().0
         })
         .collect();
     let (chunks, q) = eval_corpus();
@@ -861,26 +893,13 @@ fn standby_mirrors_and_takes_over_without_losing_chunks() {
 
     // Workers re-attach (reverse order, to prove the index comes from the
     // identity, not the attach order) and adopt their old slots.
-    let _readopted: Vec<Worker> = [1usize, 0]
-        .into_iter()
-        .map(|i| {
-            let (worker_end, gateway_end) = loopback_pair();
-            let w = Worker::start(
-                Arc::clone(&services[i]),
-                Arc::new(worker_end),
-                WorkerConfig::default()
-                    .identity(worker_ids[i], 2)
-                    .heartbeat_interval(Duration::from_millis(20)),
-            )
-            .unwrap();
-            assert_eq!(
-                promoted.attach(Arc::new(gateway_end)).unwrap(),
-                i,
-                "each worker must adopt its original slot"
-            );
-            w
-        })
-        .collect();
+    for i in [1usize, 0] {
+        promoted
+            .reattach_local(&mut workers[i], i, worker_cfg)
+            .expect("each worker must adopt its original slot");
+        assert_eq!(workers[i].identity(), (worker_ids[i], 2));
+    }
+    assert_eq!(promoted.n_workers(), 2, "adoption never grows the roster");
     assert_eq!(promoted.stats().adoptions, 2);
 
     // The very next request serves — the engines kept every registered
@@ -922,7 +941,7 @@ fn client_resumes_onto_promoted_standby_over_tcp() {
             }
         })
     };
-    let services: Vec<Arc<EngineService>> = (0..2).map(|_| Arc::new(tiny_service())).collect();
+    let services: Vec<Arc<EngineService>> = (0..2).map(|_| tiny_service()).collect();
     let worker_ids = [0xAAu64, 0xBB];
     let _workers: Vec<Worker> = (0..2)
         .map(|i| {
@@ -1029,7 +1048,7 @@ fn tcp_scrape_aggregates_cluster_metrics() {
     let _workers: Vec<Worker> = (0..2)
         .map(|_| {
             Worker::start(
-                Arc::new(tiny_service()),
+                tiny_service(),
                 Arc::new(TcpTransport::connect(addr).unwrap()),
                 WorkerConfig::default(),
             )

@@ -913,11 +913,11 @@ fn quantized_cold_tier_cycles_preserve_payload_and_stats() {
 // ---------------------------------------------------------------------------
 
 use cacheblend::blend::engine::{EngineBuilder, Request as EngineRequest};
-use cacheblend::blend::scheduler::ServiceConfig;
+use cacheblend::blend::scheduler::{EngineService, ServiceConfig};
 use cacheblend::blend::stream::Event;
+use cacheblend::net::{Gateway, GatewayConfig, Worker, WorkerConfig};
 use cacheblend::obs::metrics::{HistSnapshot, Registry};
 use cacheblend::obs::trace::{SpanRecord, Tracer};
-use cacheblend::serving::cluster::ClusterService;
 
 /// Draws a value spanning many decades, so bucket indices cover the
 /// exact range, several power-of-two ranges, and large magnitudes.
@@ -1082,13 +1082,19 @@ fn cluster_retry_spans_stay_well_nested_and_monotone() {
     const WAVE: usize = 8;
     Tracer::global().set_capacity(1 << 16);
 
-    let mut cluster = ClusterService::build(
-        2,
-        ServiceConfig::default().workers(1).queue_capacity(64),
-        |_| EngineBuilder::new(ModelProfile::Tiny).seed(11).build(),
-    )
-    .expect("cluster builds");
-    let vocab = cluster.replica(0).engine().model().cfg.vocab.clone();
+    let cluster = Gateway::new(GatewayConfig::default());
+    let cfg = ServiceConfig::default().workers(1).queue_capacity(64);
+    let mut workers: Vec<Worker> = (0..2)
+        .map(|_| {
+            let engine = EngineBuilder::new(ModelProfile::Tiny).seed(11).build();
+            let service = std::sync::Arc::new(EngineService::new(engine.unwrap(), cfg));
+            cluster
+                .attach_local(service, WorkerConfig::default())
+                .unwrap()
+                .0
+        })
+        .collect();
+    let vocab = Vocab::default_eval();
     let chunk = vec![
         vocab.id(TokenKind::Entity(3)),
         vocab.id(TokenKind::Attr(1)),
@@ -1136,7 +1142,9 @@ fn cluster_retry_spans_stay_well_nested_and_monotone() {
             .collect();
         let bounced = cluster.stats().retries == 0;
         if bounced {
-            cluster.bounce_replica(0);
+            cluster
+                .reattach_local(&mut workers[0], 0, WorkerConfig::default())
+                .expect("worker 0 re-attaches");
         }
         for c in collectors {
             assert!(c.join().expect("collector thread"), "request failed");
