@@ -98,6 +98,7 @@ struct DensityProfile {
 }
 
 /// Which `k` indices participate in a product.
+#[derive(Clone, Copy)]
 enum KSet<'a> {
     /// Every row (dense operand).
     All(usize),
@@ -459,7 +460,6 @@ impl Matrix {
                 let lo = i * chunk;
                 let rows = o.len() / n;
                 let a_part = &a[lo * kdim..(lo + rows) * kdim];
-                let ks = pick_kset(self.density(), rhs.density(), kdim);
                 let job: pool::Job<'_> = Box::new(move || {
                     gemm_block(a_part, kdim, b, n, 0, o, rows, n, &ks, None);
                 });

@@ -2,17 +2,27 @@
 //!
 //! The kernels in this crate (row-range splits of [`crate::Matrix::matmul_into`])
 //! and the per-head attention loop in `cb-model` push closures onto one
-//! process-wide [`ThreadPool`] built on the vendored crossbeam channels.
+//! process-wide [`ThreadPool`] built on a std `Mutex` + `Condvar` queue.
 //! Design points:
 //!
+//! - **Regions and tickets.** Each [`ThreadPool::run`] call is a *region*
+//!   that owns its jobs. The caller puts at most `threads - 1` helper
+//!   tickets for the region on the shared queue, wakes that many parked
+//!   workers, and retracts the tickets no worker popped before it returns,
+//!   so the queue holds at most `threads - 1` tickets per in-flight region.
+//!   A worker that pops a ticket claims jobs from that ticket's region
+//!   only; workers park on the condvar without holding the queue lock.
+//! - **Caller participation.** The submitting thread claims and runs its
+//!   own region's jobs until none is left unclaimed, then waits on the
+//!   region's completion count, so a pool of `n` threads uses `n - 1`
+//!   workers plus the caller and a pool of 1 degrades to plain serial
+//!   execution. A caller never runs another region's job: a decode step
+//!   never picks up a concurrent blend's attention head.
 //! - **Scoped borrows.** [`ThreadPool::run`] accepts closures borrowing the
 //!   caller's stack and does not return until every one of them has
 //!   finished, so the borrows stay valid (the lifetime is erased with one
 //!   contained `unsafe` transmute — the completion barrier is what makes
 //!   it sound).
-//! - **Caller participation.** The submitting thread executes queued jobs
-//!   itself while it waits, so a pool of `n` threads uses `n - 1` workers
-//!   plus the caller and a pool of 1 degrades to plain serial execution.
 //! - **No nesting.** Jobs that themselves reach a parallel region run it
 //!   serially (a thread-local flag), so kernels can be called from inside
 //!   attention head jobs without deadlock or oversubscription.
@@ -21,17 +31,17 @@
 //!   buffers); nothing about scheduling order can change the bytes
 //!   produced, which is what makes "pool size 1 vs N is bit-identical"
 //!   testable at the engine level.
-//! - **Panic containment.** A panicking job is caught on the worker, the
+//! - **Panic containment.** A panicking job is caught where it ran, the
 //!   barrier still completes, and the panic resumes on the caller.
 //!
 //! The global pool defaults to the machine's available parallelism;
 //! [`set_threads`] reconfigures it (benchmarks pin 1 or 4).
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 
 /// A borrowing job: boxed closure tied to the caller's scope.
 pub type Job<'scope> = Box<dyn FnOnce() + Send + 'scope>;
@@ -47,9 +57,63 @@ thread_local! {
 /// A persistent pool of `threads - 1` workers plus the calling thread.
 pub struct ThreadPool {
     threads: usize,
-    tx: Option<Sender<Task>>,
-    shared_rx: Arc<Mutex<Receiver<Task>>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// The queue workers park on.
+struct Shared {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+}
+
+struct Queue {
+    /// Helper tickets: each lets one worker claim jobs of its region.
+    tickets: VecDeque<Arc<Region>>,
+    /// Set by `Drop`: parked workers exit.
+    closed: bool,
+}
+
+/// One `run` call's jobs and its completion count.
+struct Region {
+    state: Mutex<RegionState>,
+    done: Condvar,
+}
+
+struct RegionState {
+    /// Jobs not yet claimed.
+    jobs: std::vec::IntoIter<Task>,
+    /// Jobs not yet finished (claimed or not).
+    left: usize,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// Locks `m`, ignoring poisoning: no pool lock is held while a job runs,
+/// so a poisoned lock still guards consistent state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Region {
+    /// Claims and runs this region's jobs until none is left unclaimed;
+    /// whoever finishes the last job wakes the waiting caller.
+    fn work(&self) {
+        let mut state = lock(&self.state);
+        while let Some(job) = state.jobs.next() {
+            drop(state);
+            IN_POOL_JOB.with(|f| f.set(true));
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            IN_POOL_JOB.with(|f| f.set(false));
+            state = lock(&self.state);
+            state.left -= 1;
+            if let Err(p) = outcome {
+                state.panic.get_or_insert(p);
+            }
+        }
+        if state.left == 0 {
+            self.done.notify_one();
+        }
+    }
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -64,21 +128,30 @@ impl ThreadPool {
     /// of 0 is clamped to 1.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = unbounded::<Task>();
-        let shared_rx = Arc::new(Mutex::new(rx));
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                tickets: VecDeque::new(),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        });
         let workers = (1..threads)
             .map(|i| {
-                let rx = Arc::clone(&shared_rx);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cb-pool-{i}"))
-                    .spawn(move || loop {
-                        let task = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match task {
-                            Ok(job) => run_job(job),
-                            Err(_) => break, // pool dropped
+                    .spawn(move || {
+                        let mut queue = lock(&shared.queue);
+                        loop {
+                            if let Some(region) = queue.tickets.pop_front() {
+                                drop(queue);
+                                region.work();
+                                queue = lock(&shared.queue);
+                            } else if queue.closed {
+                                return;
+                            } else {
+                                queue = shared.wake.wait(queue).unwrap_or_else(|e| e.into_inner());
+                            }
                         }
                     })
                     .expect("spawn pool worker")
@@ -86,8 +159,7 @@ impl ThreadPool {
             .collect();
         Self {
             threads,
-            tx: Some(tx),
-            shared_rx,
+            shared,
             workers,
         }
     }
@@ -97,77 +169,53 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Runs every job to completion before returning; the caller executes
-    /// queued jobs while it waits. Serial when the pool has one thread,
-    /// a single job is given, or the caller is itself a pool job.
+    /// Runs every job to completion before returning; the caller runs
+    /// its own jobs alongside the workers it wakes. Serial when the pool
+    /// has one thread, a single job is given, or the caller is itself a
+    /// pool job.
     pub fn run<'scope>(&self, jobs: Vec<Job<'scope>>) {
         let n = jobs.len();
-        if n == 0 {
-            return;
-        }
-        if self.threads <= 1 || n == 1 || IN_POOL_JOB.with(|f| f.get()) {
+        if self.threads <= 1 || n <= 1 || IN_POOL_JOB.with(|f| f.get()) {
             for job in jobs {
                 job();
             }
             return;
         }
-        let (done_tx, done_rx) = bounded::<Option<Box<dyn std::any::Any + Send>>>(n);
-        let tx = self.tx.as_ref().expect("pool alive");
-        for job in jobs {
-            let done = done_tx.clone();
-            let task: Job<'scope> = Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(job)).err();
-                let _ = done.send(outcome);
-            });
-            // SAFETY: the barrier below does not return until every task
-            // has sent its completion, so the borrows captured by `job`
-            // outlive its execution. Workers never hold tasks without
-            // running them (a dropped pool drains by closing the channel
-            // only after workers exit their loop).
-            let task: Task = unsafe { std::mem::transmute(task) };
-            let _ = tx.send(task);
+        // SAFETY: only the lifetime changes. This call does not return
+        // until the region's `left` count reaches zero, i.e. until every
+        // job has run and been dropped, so the borrows they capture
+        // outlive them. A ticket that outlives the call holds the region's
+        // emptied job list, which borrows nothing.
+        let jobs: Vec<Task> = unsafe { std::mem::transmute::<Vec<Job<'scope>>, Vec<Task>>(jobs) };
+        let region = Arc::new(Region {
+            state: Mutex::new(RegionState {
+                jobs: jobs.into_iter(),
+                left: n,
+                panic: None,
+            }),
+            done: Condvar::new(),
+        });
+        let helpers = (self.threads - 1).min(n - 1);
+        {
+            let mut queue = lock(&self.shared.queue);
+            queue
+                .tickets
+                .extend(std::iter::repeat_with(|| Arc::clone(&region)).take(helpers));
         }
-        drop(done_tx);
-
-        // Help: execute queued tasks (ours or another caller's) until our
-        // completion barrier fills.
-        let mut completed = 0;
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        while completed < n {
-            // try_lock: an idle worker blocks in recv *while holding* the
-            // receiver mutex, so a blocking lock here could deadlock. If
-            // the lock is busy, a worker owns the queue and we just wait
-            // on the barrier.
-            let task = match self.shared_rx.try_lock() {
-                Ok(guard) => guard.try_recv(),
-                Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().try_recv(),
-                Err(std::sync::TryLockError::WouldBlock) => Err(TryRecvError::Empty),
-            };
-            match task {
-                Ok(job) => run_job(job),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
-                    // Nothing to steal: block on the barrier.
-                    match done_rx.recv() {
-                        Ok(p) => {
-                            completed += 1;
-                            if let Some(p) = p {
-                                panic = Some(p);
-                            }
-                        }
-                        Err(_) => break, // all tasks accounted for
-                    }
-                    continue;
-                }
-            }
-            // Drain any completions that arrived while helping.
-            while let Ok(p) = done_rx.try_recv() {
-                completed += 1;
-                if let Some(p) = p {
-                    panic = Some(p);
-                }
-            }
+        for _ in 0..helpers {
+            self.shared.wake.notify_one();
         }
-        if let Some(p) = panic {
+        region.work();
+        // Every job is claimed: tickets no worker popped are dead weight.
+        lock(&self.shared.queue)
+            .tickets
+            .retain(|r| !Arc::ptr_eq(r, &region));
+        let mut state = lock(&region.state);
+        while state.left > 0 {
+            state = region.done.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        if let Some(p) = state.panic.take() {
+            drop(state);
             resume_unwind(p);
         }
     }
@@ -175,17 +223,12 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.tx.take(); // close the channel; workers exit on RecvError
+        lock(&self.shared.queue).closed = true;
+        self.shared.wake.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
-}
-
-fn run_job(job: Task) {
-    IN_POOL_JOB.with(|f| f.set(true));
-    job();
-    IN_POOL_JOB.with(|f| f.set(false));
 }
 
 static GLOBAL: OnceLock<RwLock<Arc<ThreadPool>>> = OnceLock::new();
@@ -226,7 +269,33 @@ pub(crate) static GLOBAL_POOL_TEST_LOCK: Mutex<()> = Mutex::new(());
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// Yields until `flag` is set or `limit` passes; true if it was set.
+    fn await_flag(flag: &AtomicBool, limit: Duration) -> bool {
+        let t = Instant::now();
+        while !flag.load(Ordering::Acquire) {
+            if t.elapsed() > limit {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    fn counting_jobs(counter: &AtomicUsize, n: usize) -> Vec<Job<'_>> {
+        (0..n)
+            .map(|_| {
+                let job: Job<'_> = Box::new(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
+                job
+            })
+            .collect()
+    }
 
     #[test]
     fn run_executes_every_job_with_borrows() {
@@ -256,16 +325,7 @@ mod tests {
     fn single_thread_pool_runs_serially() {
         let pool = ThreadPool::new(1);
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<Job<'_>> = (0..8)
-            .map(|_| {
-                let c = &counter;
-                let job: Job<'_> = Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-                job
-            })
-            .collect();
-        pool.run(jobs);
+        pool.run(counting_jobs(&counter, 8));
         assert_eq!(counter.load(Ordering::Relaxed), 8);
     }
 
@@ -319,16 +379,7 @@ mod tests {
         assert_eq!(finished.load(Ordering::Relaxed), 3, "others still ran");
         // The pool remains usable afterwards.
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<Job<'_>> = (0..3)
-            .map(|_| {
-                let c = &counter;
-                let job: Job<'_> = Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-                job
-            })
-            .collect();
-        pool.run(jobs);
+        pool.run(counting_jobs(&counter, 3));
         assert_eq!(counter.load(Ordering::Relaxed), 3);
     }
 
@@ -341,5 +392,141 @@ mod tests {
         assert_eq!(current().threads(), 2);
         set_threads(1);
         assert_eq!(current().threads(), 1);
+    }
+
+    #[test]
+    fn two_job_regions_run_concurrently() {
+        let pool = ThreadPool::new(2);
+        let warm = AtomicUsize::new(0);
+        pool.run(counting_jobs(&warm, 2));
+        let caller = std::thread::current().id();
+        let (mut serial, mut callerless) = (0, 0);
+        for _ in 0..20 {
+            // Long enough for the worker to park between regions.
+            std::thread::sleep(Duration::from_millis(2));
+            let started = [AtomicBool::new(false), AtomicBool::new(false)];
+            let met = [AtomicBool::new(false), AtomicBool::new(false)];
+            let ran_on = Mutex::new(Vec::new());
+            let jobs: Vec<Job<'_>> = (0..2)
+                .map(|i| {
+                    let (started, met, ran_on) = (&started, &met, &ran_on);
+                    let job: Job<'_> = Box::new(move || {
+                        lock(ran_on).push(std::thread::current().id());
+                        started[i].store(true, Ordering::Release);
+                        let other = await_flag(&started[1 - i], Duration::from_millis(200));
+                        met[i].store(other, Ordering::Relaxed);
+                    });
+                    job
+                })
+                .collect();
+            pool.run(jobs);
+            if !met.iter().all(|m| m.load(Ordering::Relaxed)) {
+                serial += 1;
+            }
+            if !ran_on.into_inner().unwrap().contains(&caller) {
+                callerless += 1;
+            }
+        }
+        assert_eq!(serial, 0, "{serial} of 20 two-job regions ran serially");
+        assert_eq!(
+            callerless, 0,
+            "the caller ran no job of {callerless} of 20 regions"
+        );
+    }
+
+    #[test]
+    fn callers_never_run_another_callers_jobs() {
+        let pool = ThreadPool::new(2);
+        // (the region's caller, the thread that ran the job)
+        let records: Mutex<Vec<(ThreadId, ThreadId)>> = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let me = std::thread::current().id();
+                    for _ in 0..100 {
+                        let jobs: Vec<Job<'_>> = (0..4)
+                            .map(|_| {
+                                let records = &records;
+                                let job: Job<'_> = Box::new(move || {
+                                    let t = Instant::now();
+                                    while t.elapsed() < Duration::from_micros(50) {
+                                        std::hint::spin_loop();
+                                    }
+                                    lock(records).push((me, std::thread::current().id()));
+                                });
+                                job
+                            })
+                            .collect();
+                        pool.run(jobs);
+                    }
+                });
+            }
+        });
+        let records = records.into_inner().unwrap();
+        assert_eq!(records.len(), 800);
+        let callers: HashSet<ThreadId> = records.iter().map(|r| r.0).collect();
+        assert_eq!(callers.len(), 2);
+        for (caller, ran_on) in &records {
+            assert!(
+                ran_on == caller || !callers.contains(ran_on),
+                "a caller ran another caller's job"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_a_parked_pool_joins_its_workers() {
+        let pool = ThreadPool::new(3);
+        let counter = AtomicUsize::new(0);
+        pool.run(counting_jobs(&counter, 8));
+        assert_eq!(counter.load(Ordering::Relaxed), 8);
+        assert!(
+            lock(&pool.shared.queue).tickets.is_empty(),
+            "a finished region left tickets on the queue"
+        );
+        std::thread::sleep(Duration::from_millis(5)); // the workers park
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert!(shared.upgrade().is_none(), "a worker outlived the pool");
+    }
+
+    #[test]
+    fn set_threads_mid_region_finishes_on_the_old_pool() {
+        let _guard = GLOBAL_POOL_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        set_threads(2);
+        let old = Arc::downgrade(&current());
+        let entered = AtomicBool::new(false);
+        let swapped = AtomicBool::new(false);
+        let mut out = vec![0usize; 8];
+        std::thread::scope(|s| {
+            let (entered, swapped, out) = (&entered, &swapped, &mut out);
+            s.spawn(move || {
+                let jobs: Vec<Job<'_>> = out
+                    .chunks_mut(2)
+                    .enumerate()
+                    .map(|(i, chunk)| {
+                        let job: Job<'_> = Box::new(move || {
+                            entered.store(true, Ordering::Release);
+                            assert!(await_flag(swapped, Duration::from_secs(10)));
+                            chunk.fill(i + 1);
+                        });
+                        job
+                    })
+                    .collect();
+                current().run(jobs);
+            });
+            assert!(await_flag(entered, Duration::from_secs(10)));
+            set_threads(3);
+            assert_eq!(current().threads(), 3);
+            assert!(
+                old.upgrade().is_some(),
+                "the in-flight region holds the old pool"
+            );
+            swapped.store(true, Ordering::Release);
+        });
+        assert_eq!(out, [1, 1, 2, 2, 3, 3, 4, 4]);
+        set_threads(1);
     }
 }
