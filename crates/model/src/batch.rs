@@ -11,24 +11,44 @@
 //!
 //! Per step, the token-parallel stages run as one multi-row kernel call
 //! across every active sequence: embedding, the fused QKV projection
-//! (+ per-row RoPE at each sequence's own position), the MLP, and the
-//! final logits matmul. Attention cannot fuse — each sequence attends
-//! over its own K/V set — so it runs per sequence against that slot's
-//! cache, with per-slot scratch; the per-sequence attends are fanned out
-//! across the `cb-tensor` thread pool (disjoint slots, fixed output
-//! layout, so scheduling order cannot change any byte produced).
+//! (+ per-row RoPE at each sequence's own position), the MLP, the
+//! attention output projection, and the final logits matmul. Attention's
+//! context stage cannot fuse — each sequence attends over its own K/V
+//! set — so scores, softmax and P·V
+//! ([`Model::attend_context_into`]) run per sequence against that slot's
+//! cache, with per-slot scratch, fanned out across the `cb-tensor` thread
+//! pool (disjoint slots, fixed output layout, so scheduling order cannot
+//! change any byte produced). The projection stage then fuses per head:
+//! every slot's context row of head `h` is stacked into one
+//! `slots × head_dim` matrix and multiplied by the head's output
+//! projection in one product, and the head products are summed in head
+//! order into a delta that starts at `+0.0` before it joins the residual
+//! — per layer, `heads` small GEMMs instead of `slots × heads` single-row
+//! ones.
 //!
 //! # Bit-identity to the sequential path
 //!
 //! Every kernel invoked here accumulates each output element in a fixed
 //! reduction order that depends only on that element's input row
 //! (`cb-tensor`'s blocked matmul guarantees this for any row count and
-//! pool size), and the per-sequence attend is invoked with exactly the
-//! arguments the sequential decode loop would pass. So each sequence's
-//! token stream and final cache are bit-identical to
-//! [`Model::decode_greedy`] run alone, at any batch composition and any
-//! thread count — property-tested in this module and in
-//! `tests/properties.rs`.
+//! pool size), the per-sequence context stage is invoked with exactly the
+//! arguments the sequential decode loop passes to [`Model::attend_into`],
+//! and the projection stage sums each row's head products in
+//! `attend_into`'s order, from the same `+0.0`. So each sequence's token
+//! stream and final cache are bit-identical to [`Model::decode_greedy`]
+//! run alone, at any batch composition and any thread count —
+//! property-tested in this module and in `tests/properties.rs`.
+//!
+//! # Allocations
+//!
+//! A warm step at one pool thread allocates only each layer's job list:
+//! the `Vec` of jobs and its one boxed job, 28 allocations on the 14-layer
+//! Llama-70B stand-in at occupancy 4 (`tests/decode_alloc.rs` pins this
+//! with a counting allocator). Retiring a sequence adds the returned list
+//! and, the first time, the compacted residual buffer. Every other buffer
+//! is per-slot or per-batch scratch that keeps its high-water allocation,
+//! and admission reserves each slot's cache, key positions and attention
+//! scratch for its whole token budget.
 //!
 //! One intentional divergence: the sequential loop computes one final
 //! (unused) logits row after the last budgeted token; the batch skips
@@ -84,10 +104,9 @@ struct Slot {
     pending: TokenId,
     /// Marked for retirement; drained by `take_finished`.
     done: bool,
-    // Per-slot attention scratch, so per-sequence attends can run in
-    // parallel with no shared mutable state.
+    // Per-slot attention scratch, so the per-sequence context stages can
+    // run in parallel with no shared mutable state.
     q1: Matrix,
-    delta1: Matrix,
     attend: AttendScratch,
 }
 
@@ -105,13 +124,19 @@ pub struct DecodeBatch {
     /// their full budget. Benchmark-only knob: it diverges from
     /// [`Model::decode_greedy`] semantics by design.
     ignore_stop: bool,
-    // Step scratch (reused across steps; steady state allocates only the
-    // per-layer job list).
+    // Step scratch, reused across steps (see the module docs for what a
+    // warm step allocates).
     logits: Matrix,
     fused: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
+    /// One head's context rows of every slot, `slots.len() × head_dim`.
+    head_ctx: Matrix,
+    /// `head_ctx` times the head's output projection.
+    head_out: Matrix,
+    /// The attention delta: head products summed in head order from `+0.0`.
+    attn_delta: Matrix,
     h1: Matrix,
     h2: Matrix,
     mlp_out: Matrix,
@@ -168,20 +193,27 @@ impl DecodeBatch {
         self.x.extend_rows(&self.admit_row);
 
         cache.reserve(max_tokens);
+        let max_keys = cache.len() + max_tokens;
+        let mut k_pos = Vec::with_capacity(max_keys);
+        k_pos.extend_from_slice(&cache.positions);
+        let kv_width = model.cfg.kv_width();
+        let mut q1 = Matrix::default();
+        q1.zero_resize(1, kv_width);
+        let mut attend = AttendScratch::default();
+        attend.reserve_decode(model.cfg.n_heads, d, kv_width, max_keys);
         let id = SeqId(self.next_id);
         self.next_id += 1;
         self.slots.push(Slot {
             id,
             next_pos: cache.positions.last().map(|&p| p + 1).unwrap_or(0),
-            k_pos: cache.positions.clone(),
+            k_pos,
             cache,
             out: Vec::with_capacity(max_tokens),
             remaining: max_tokens,
             pending: 0,
             done: false,
-            q1: Matrix::default(),
-            delta1: Matrix::default(),
-            attend: AttendScratch::default(),
+            q1,
+            attend,
         });
         id
     }
@@ -233,7 +265,10 @@ impl DecodeBatch {
         }
 
         // Forward the survivors' pending tokens: fused embed/QKV/MLP
-        // across all rows, per-sequence attention fanned out on the pool.
+        // across all rows, per-sequence attention context fanned out on
+        // the pool, one output projection per head across all rows.
+        let n = self.slots.len();
+        let hd = model.cfg.head_dim;
         self.tokens_step.clear();
         self.positions_step.clear();
         for slot in &mut self.slots {
@@ -274,15 +309,13 @@ impl DecodeBatch {
                             slot.q1.row_mut(0).copy_from_slice(q.row(i));
                             slot.cache.layers[layer].append_rows(k, v, i, i + 1);
                             let q_pos = [slot.next_pos];
-                            model.attend_into(
+                            model.attend_context_into(
                                 layer,
                                 &slot.q1,
                                 &q_pos,
                                 &slot.cache.layers[layer].k,
                                 &slot.cache.layers[layer].v,
                                 &slot.k_pos,
-                                None,
-                                &mut slot.delta1,
                                 &mut slot.attend,
                             );
                         }
@@ -291,11 +324,21 @@ impl DecodeBatch {
                 })
                 .collect();
             pool.run(jobs);
-            for (i, slot) in self.slots.iter().enumerate() {
-                for (dst, &src) in self.x.row_mut(i).iter_mut().zip(slot.delta1.row(0)) {
-                    *dst += src;
+            // The projection stage, as `attend_into` runs it per sequence:
+            // GEMM rows are independent, so stacking the slots' context
+            // rows gives each row the bits of its own 1-row product.
+            self.attn_delta.zero_resize(n, d);
+            for (h, head) in model.layers[layer].heads.iter().enumerate() {
+                self.head_ctx.resize_dirty(n, hd);
+                for (i, slot) in self.slots.iter().enumerate() {
+                    self.head_ctx
+                        .row_mut(i)
+                        .copy_from_slice(slot.attend.heads[h].ctx.row(0));
                 }
+                self.head_ctx.matmul_into(&head.wo, &mut self.head_out);
+                self.attn_delta.add_assign(&self.head_out);
             }
+            self.x.add_assign(&self.attn_delta);
             if model.layers[layer].mlp.forward_into(
                 &self.x,
                 &mut self.h1,

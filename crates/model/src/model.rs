@@ -194,10 +194,13 @@ impl Model {
         delta
     }
 
-    /// [`Model::attend`] into caller-provided buffers. Per-head work (score
-    /// block, mask/bias, softmax, context, output projection) runs on the
+    /// [`Model::attend`] into caller-provided buffers. Each head runs two
+    /// stages: the context stage (score block, mask/bias, softmax, context
+    /// rows; [`Model::attend_context_into`]) and the projection stage (the
+    /// context rows times the head's output projection). Heads run on the
     /// thread pool when large enough; head deltas are reduced serially in
-    /// head order, so the result is bit-identical for any pool size.
+    /// head order into a delta that starts at `+0.0`, so the result is
+    /// bit-identical for any pool size.
     #[allow(clippy::too_many_arguments)]
     pub fn attend_into(
         &self,
@@ -211,12 +214,59 @@ impl Model {
         delta: &mut Matrix,
         scratch: &mut AttendScratch,
     ) {
-        let hd = self.cfg.head_dim;
-        let heads = &self.layers[layer].heads;
+        self.attend_heads(layer, q, q_pos, k_all, v_all, k_pos, true, scratch);
         delta.zero_resize(q.rows(), self.cfg.d_model());
         if let Some(p) = probs_out.as_deref_mut() {
             p.zero_resize(q.rows(), k_all.rows());
         }
+        // Fixed-order reduction keeps the result independent of scheduling.
+        let n_heads = self.layers[layer].heads.len();
+        for hs in &scratch.heads[..n_heads] {
+            delta.add_assign(&hs.delta);
+            if let Some(p) = probs_out.as_deref_mut() {
+                for (dst, &src) in p.as_mut_slice().iter_mut().zip(hs.scores.as_slice()) {
+                    *dst += src / n_heads as f32;
+                }
+            }
+        }
+    }
+
+    /// The context stage of [`Model::attend_into`] alone: per head, the
+    /// masked, biased softmax scores and the context rows, left in
+    /// `scratch.heads[h].ctx` (`q.rows() × head_dim`). The caller runs the
+    /// projection stage: [`DecodeBatch`](crate::DecodeBatch) stacks every
+    /// sequence's context row of a head and projects them in one product.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attend_context_into(
+        &self,
+        layer: usize,
+        q: &Matrix,
+        q_pos: &[usize],
+        k_all: &Matrix,
+        v_all: &Matrix,
+        k_pos: &[usize],
+        scratch: &mut AttendScratch,
+    ) {
+        self.attend_heads(layer, q, q_pos, k_all, v_all, k_pos, false, scratch);
+    }
+
+    /// The per-head stages of [`Model::attend_into`]: the context stage,
+    /// then, with `project`, the projection stage into
+    /// `scratch.heads[h].delta`.
+    #[allow(clippy::too_many_arguments)]
+    fn attend_heads(
+        &self,
+        layer: usize,
+        q: &Matrix,
+        q_pos: &[usize],
+        k_all: &Matrix,
+        v_all: &Matrix,
+        k_pos: &[usize],
+        project: bool,
+        scratch: &mut AttendScratch,
+    ) {
+        let hd = self.cfg.head_dim;
+        let heads = &self.layers[layer].heads;
         scratch.ensure_heads(heads.len());
         scratch.k_pos_f32.clear();
         scratch.k_pos_f32.extend(k_pos.iter().map(|&p| p as f32));
@@ -275,7 +325,9 @@ impl Model {
             // The causal cuts bound the context product too: each row tile
             // packs only the keys below its rows' largest cut.
             hs.scores.matmul_cols_into(v_all, lo, hi, cuts, &mut hs.ctx);
-            hs.ctx.matmul_into(&head.wo, &mut hs.delta);
+            if project {
+                hs.ctx.matmul_into(&head.wo, &mut hs.delta);
+            }
         };
 
         let head_scratch = &mut scratch.heads[..heads.len()];
@@ -298,17 +350,6 @@ impl Model {
         } else {
             for (h, hs) in head_scratch.iter_mut().enumerate() {
                 run_head(h, hs);
-            }
-        }
-
-        // Fixed-order reduction keeps the result independent of scheduling.
-        let n_heads = heads.len();
-        for hs in head_scratch.iter() {
-            delta.add_assign(&hs.delta);
-            if let Some(p) = probs_out.as_deref_mut() {
-                for (dst, &src) in p.as_mut_slice().iter_mut().zip(hs.scores.as_slice()) {
-                    *dst += src / n_heads as f32;
-                }
             }
         }
     }

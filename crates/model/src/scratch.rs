@@ -20,9 +20,12 @@ use cb_tensor::{KeyPanels, Matrix};
 pub struct HeadScratch {
     /// `q_rows × keys` attention scores (probabilities after softmax).
     pub scores: Matrix,
-    /// `q_rows × head_dim` context rows.
+    /// `q_rows × head_dim` context rows: the context stage's output.
     pub ctx: Matrix,
-    /// `q_rows × d_model` residual delta of this head.
+    /// `q_rows × d_model` residual delta of this head: the projection
+    /// stage's output (left untouched by
+    /// [`Model::attend_context_into`](crate::Model::attend_context_into),
+    /// whose caller projects the context rows itself).
     pub delta: Matrix,
 }
 
@@ -60,6 +63,26 @@ impl AttendScratch {
         while self.heads.len() < n {
             self.heads.push(HeadScratch::new());
         }
+    }
+
+    /// Pre-grows the buffers of a single-row attend over up to `max_keys`
+    /// keys on a model with the given shape, so the decode steps that
+    /// reuse them allocate nothing.
+    pub fn reserve_decode(
+        &mut self,
+        n_heads: usize,
+        d_model: usize,
+        kv_width: usize,
+        max_keys: usize,
+    ) {
+        self.ensure_heads(n_heads);
+        for hs in &mut self.heads {
+            hs.scores.zero_resize(1, max_keys);
+            hs.ctx.zero_resize(1, kv_width);
+            hs.delta.zero_resize(1, d_model);
+        }
+        self.k_pos_f32.reserve(max_keys);
+        self.cuts.reserve(1);
     }
 }
 
@@ -117,13 +140,8 @@ impl Scratch {
         self.k.zero_resize(1, kv_width);
         self.v.zero_resize(1, kv_width);
         self.delta.zero_resize(1, d_model);
-        self.attend.ensure_heads(n_heads);
-        for hs in &mut self.attend.heads {
-            hs.scores.zero_resize(1, max_keys);
-            hs.ctx.zero_resize(1, kv_width);
-            hs.delta.zero_resize(1, d_model);
-        }
-        self.attend.k_pos_f32.reserve(max_keys);
+        self.attend
+            .reserve_decode(n_heads, d_model, kv_width, max_keys);
         self.k_pos.reserve(max_keys);
     }
 }

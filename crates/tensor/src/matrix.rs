@@ -1,6 +1,6 @@
 //! Row-major dense f32 matrix and matmul kernels.
 //!
-//! The kernels are portable Rust that the compiler vectorizes, plus two
+//! The kernels are portable Rust that the compiler vectorizes, plus
 //! AVX-512 tiles (module `zmm`) that builds targeting AVX-512F compile
 //! in, because LLVM tunes the portable tiles to half-width `ymm` code on
 //! such hosts. None reassociates floating-point arithmetic, so every
@@ -13,11 +13,13 @@
 //!   columns (64 in `zmm` tiles) keeps its accumulators in registers for
 //!   the whole `k` loop and stores them once; the rows past the last full
 //!   tile run as one tile of height `m % 6`, and the columns past the
-//!   wide tiles as 32-wide, 8-wide, then 1-wide tiles. Per-row limits
+//!   wide tiles as 32-wide, 8-wide, then 1-wide tiles (`zmm` builds run
+//!   32- and 16-wide tails in `zmm` registers first). Per-row limits
 //!   (the context product's causal cuts) end a tile's `k` loop at its
 //!   rows' largest limit. A single remaining row (a decode step's
-//!   product) is an AXPY over the output row instead: it streams the
-//!   weights row by row, which is faster when they come from L3. Per
+//!   product) packs nothing: `zmm` builds hold its 64-column blocks in
+//!   registers for the whole `k` loop, and the columns left over run as
+//!   an AXPY over the output row. Per
 //!   element: start at `+0.0`, then `acc = b.mul_add(a, acc)` over the
 //!   participating `k` in ascending order, skipping a `k` at
 //!   which the tile's whole `a` column is zero (exact: it adds `±0.0`).
@@ -38,7 +40,10 @@
 //!   keys (two panels in `zmm` tiles, when the head dim is a multiple of
 //!   16) hold one lane's accumulators for 16 keys side by side; below it
 //!   (decode's single row) the dot kernel runs, because the layout would
-//!   cost more than the tiles save.
+//!   cost more than the tiles save. In `zmm` builds, when the head dim is
+//!   a multiple of 16, the dot kernel takes 16 keys at a time, one `zmm`
+//!   of lane accumulators per key, and transposes the 16 so that 16
+//!   vector adds sum every key's lanes in lane order at once.
 //! - **Reference kernels** ([`Matrix::matmul_reference`],
 //!   [`Matrix::matmul_transposed_reference`]): the original scalar loops,
 //!   kept verbatim as the parity baseline for tests (this crate's and
@@ -50,6 +55,7 @@
 //! 3-D activations of a transformer layer are handled as `(seq, dim)`
 //! matrices per layer.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::OnceLock;
@@ -61,8 +67,8 @@ const MR: usize = 6;
 /// Columns of the portable GEMM register tile. Compiled to 8-lane `ymm`
 /// vectors, the 6 × 32 accumulators take 24 of the 32 vector registers
 /// AVX-512VL offers, leaving room for the four `b` vectors and a
-/// broadcast `a`. AVX-512 builds run 64-column `zmm` tiles first, and
-/// this tile on the columns left over.
+/// broadcast `a`. AVX-512 builds run `zmm` tiles down to 16 columns
+/// instead, so this tile never runs there.
 const NR: usize = 32;
 /// Width of the GEMM's column-tail tile (one 8-lane vector).
 const NR_TAIL: usize = 8;
@@ -92,9 +98,52 @@ const PAR_MIN_ROWS: usize = 64;
 #[derive(Clone, Debug)]
 struct DensityProfile {
     /// Non-zero rows, when at most `SPARSE_FRACTION` of rows are non-zero.
-    nz_rows: Option<Box<[u32]>>,
+    nz_rows: Option<Vec<u32>>,
     /// Non-zero columns, under the same threshold.
-    nz_cols: Option<Box<[u32]>>,
+    nz_cols: Option<Vec<u32>>,
+}
+
+/// Index lists a thread keeps from dropped probes for its next sparse
+/// probes.
+const MAX_SPARE_LISTS: usize = 8;
+
+thread_local! {
+    /// Index lists of this thread's dropped density probes. A decode step
+    /// rewrites and re-probes the same sparse operands (a program head's
+    /// context rows, the embedded residual) every layer, so reusing their
+    /// lists keeps a warm step free of allocations.
+    static SPARE_LISTS: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An empty index list with room for `len` entries, in a spare list's
+/// storage when this thread holds one.
+fn index_list(len: usize) -> Vec<u32> {
+    let spare = SPARE_LISTS.try_with(|s| s.try_borrow_mut().ok()?.pop());
+    let mut list = spare.ok().flatten().unwrap_or_default();
+    list.clear();
+    list.reserve(len);
+    list
+}
+
+impl Drop for DensityProfile {
+    /// Hands the index lists to this thread's spares.
+    fn drop(&mut self) {
+        let _ = SPARE_LISTS.try_with(|s| {
+            let Ok(mut spare) = s.try_borrow_mut() else {
+                return;
+            };
+            for list in [self.nz_rows.take(), self.nz_cols.take()]
+                .into_iter()
+                .flatten()
+            {
+                let free = MAX_SPARE_LISTS.saturating_sub(spare.len());
+                if free > 0 {
+                    spare.reserve_exact(free);
+                    spare.push(list);
+                }
+            }
+        });
+    }
 }
 
 /// Which `k` indices participate in a product.
@@ -346,37 +395,55 @@ impl Matrix {
         }
     }
 
-    /// The cached one-time density probe (one scan computes both axes).
-    /// The scan is branch-free so it vectorizes: a blend's residuals and
-    /// context products change every layer, so each of their products
-    /// probes afresh.
+    /// The cached one-time density probe. Each axis is counted first and
+    /// listed only when it is sparse, in a recycled list where the thread
+    /// has one, so a warm probe allocates nothing: a blend's residuals and
+    /// context products, and every decode-step operand, change between
+    /// products and probe afresh. The scans are branch-free so they
+    /// vectorize.
     fn density(&self) -> &DensityProfile {
         self.profile.get_or_init(|| {
-            let mut nz_rows = Vec::new();
-            let mut col_has = vec![false; self.cols];
-            for r in 0..self.rows {
-                let mut any = false;
-                for (h, &v) in col_has.iter_mut().zip(self.row(r)) {
-                    let nz = v != 0.0;
-                    *h |= nz;
-                    any |= nz;
-                }
-                if any {
-                    nz_rows.push(r as u32);
-                }
-            }
-            let nz_cols: Vec<u32> = col_has
-                .iter()
-                .enumerate()
-                .filter_map(|(c, &h)| h.then_some(c as u32))
-                .collect();
-            DensityProfile {
-                nz_rows: ((nz_rows.len() as f32) <= self.rows as f32 * SPARSE_FRACTION)
-                    .then(|| nz_rows.into_boxed_slice()),
-                nz_cols: ((nz_cols.len() as f32) <= self.cols as f32 * SPARSE_FRACTION)
-                    .then(|| nz_cols.into_boxed_slice()),
-            }
+            let sparse = |nz: usize, of: usize| (nz as f32) <= of as f32 * SPARSE_FRACTION;
+            let row_nz = |r: usize| self.row(r).iter().fold(false, |any, &v| any | (v != 0.0));
+            let n_rows = (0..self.rows).filter(|&r| row_nz(r)).count();
+            let nz_rows = sparse(n_rows, self.rows).then(|| {
+                let mut list = index_list(n_rows);
+                list.extend((0..self.rows).filter(|&r| row_nz(r)).map(|r| r as u32));
+                list
+            });
+            let mut n_cols = 0;
+            self.for_each_col_nz(|_, nz| n_cols += usize::from(nz));
+            let nz_cols = sparse(n_cols, self.cols).then(|| {
+                let mut list = index_list(n_cols);
+                self.for_each_col_nz(|c, nz| {
+                    if nz {
+                        list.push(c as u32);
+                    }
+                });
+                list
+            });
+            DensityProfile { nz_rows, nz_cols }
         })
+    }
+
+    /// Calls `f(c, nz)` for every column `c` in ascending order, where `nz`
+    /// says whether the column holds a non-zero. The columns go in blocks
+    /// whose flags live on the stack, one pass over the rows per block.
+    fn for_each_col_nz(&self, mut f: impl FnMut(usize, bool)) {
+        const BLOCK: usize = 256;
+        let mut flags = [false; BLOCK];
+        for c0 in (0..self.cols).step_by(BLOCK) {
+            let has = &mut flags[..BLOCK.min(self.cols - c0)];
+            has.fill(false);
+            for r in 0..self.rows {
+                for (h, &v) in has.iter_mut().zip(&self.row(r)[c0..]) {
+                    *h |= v != 0.0;
+                }
+            }
+            for (c, &h) in has.iter().enumerate() {
+                f(c0 + c, h);
+            }
+        }
     }
 
     /// Matrix product `self × rhs`.
@@ -637,9 +704,17 @@ impl Matrix {
         let (lda, ldb) = (self.cols, rhs.cols);
         let a = &self.data;
         let b = &rhs.data;
-        // Each key quad is loaded once and dotted with every query row
-        // (below the tile threshold there are at most 15 of them).
-        let cmin = limits.iter().copied().min().unwrap();
+        // AVX-512 builds score each row on its own, 16 keys at a time in
+        // `zmm` registers, when the head dim is whole 16-lane chunks.
+        let zmm_rows = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"))
+            && (hi - lo).is_multiple_of(LANES);
+        // Otherwise each key quad is loaded once and dotted with every
+        // query row (below the tile threshold there are at most 15).
+        let cmin = if zmm_rows {
+            0
+        } else {
+            limits.iter().copied().min().unwrap()
+        };
         let full = cmin - cmin % 4;
         let mut j = 0;
         while j < full {
@@ -663,6 +738,10 @@ impl Matrix {
             let ar = &a[i * lda + lo..i * lda + hi];
             let orow = &mut out.data[i * jn..(i + 1) * jn];
             let mut jj = full;
+            #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+            if zmm_rows {
+                jj = zmm::scores_dot(ar, b, ldb, lo, lim, scale, orow);
+            }
             while jj + 4 <= lim {
                 let b0 = &b[jj * ldb + lo..jj * ldb + hi];
                 let b1 = &b[(jj + 1) * ldb + lo..(jj + 1) * ldb + hi];
@@ -1089,26 +1168,43 @@ fn gemm_block(
         ks,
         limits,
     };
-    let nk = g.ks_below(usize::MAX);
-    // A single row packs nothing (see `gemm_row`).
-    let (mut panel, mut live) = match m {
-        1 => (Vec::new(), Vec::new()),
-        _ => (vec![0.0f32; MR.min(m) * nk], vec![0u32; nk]),
-    };
     let full = m - m % MR;
     let (body, tail) = out[..m * n].split_at_mut(full * n);
-    for (t, rows) in body.chunks_exact_mut(MR * n).enumerate() {
-        gemm_row_tile::<MR>(&g, t * MR, &mut panel, &mut live, rows);
+    // A single row packs nothing (see `gemm_row`).
+    if m == 1 {
+        gemm_row(&g, 0, tail);
+        return;
     }
-    match m - full {
-        0 => {}
-        1 => gemm_row(&g, full, tail),
-        2 => gemm_row_tile::<2>(&g, full, &mut panel, &mut live, tail),
-        3 => gemm_row_tile::<3>(&g, full, &mut panel, &mut live, tail),
-        4 => gemm_row_tile::<4>(&g, full, &mut panel, &mut live, tail),
-        5 => gemm_row_tile::<5>(&g, full, &mut panel, &mut live, tail),
-        _ => unreachable!("remainder of a division by MR"),
-    }
+    let nk = g.ks_below(usize::MAX);
+    GEMM_PACK.with_borrow_mut(|(panel, live)| {
+        let rows = MR.min(m);
+        if panel.len() < rows * nk {
+            panel.resize(rows * nk, 0.0);
+        }
+        if live.len() < nk {
+            live.resize(nk, 0);
+        }
+        let (panel, live) = (&mut panel[..rows * nk], &mut live[..nk]);
+        for (t, rows) in body.chunks_exact_mut(MR * n).enumerate() {
+            gemm_row_tile::<MR>(&g, t * MR, panel, live, rows);
+        }
+        match m - full {
+            0 => {}
+            1 => gemm_row(&g, full, tail),
+            2 => gemm_row_tile::<2>(&g, full, panel, live, tail),
+            3 => gemm_row_tile::<3>(&g, full, panel, live, tail),
+            4 => gemm_row_tile::<4>(&g, full, panel, live, tail),
+            5 => gemm_row_tile::<5>(&g, full, panel, live, tail),
+            _ => unreachable!("remainder of a division by MR"),
+        }
+    });
+}
+
+thread_local! {
+    /// [`gemm_block`]'s packing buffers (the panel and its live `k`), kept
+    /// per thread at their high-water mark so a warm product allocates
+    /// nothing.
+    static GEMM_PACK: RefCell<(Vec<f32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Output rows `i..i + R` (`out` holds exactly those rows).
@@ -1118,8 +1214,9 @@ fn gemm_block(
 /// zero skip runs once per row tile instead of once per column tile, and
 /// the tiles' inner loop reads `a` contiguously. Packing stops at the
 /// rows' largest limit, and reads a row as zero past its own. Then
-/// 64-column `zmm` tiles where the build targets AVX-512, [`NR`]-wide
-/// column tiles, [`NR_TAIL`]-wide, and single columns.
+/// 64-column `zmm` tiles and a 32- and a 16-column one where the build
+/// targets AVX-512, [`NR`]-wide column tiles, [`NR_TAIL`]-wide, and single
+/// columns.
 fn gemm_row_tile<const R: usize>(
     g: &Gemm<'_>,
     i: usize,
@@ -1143,14 +1240,10 @@ fn gemm_row_tile<const R: usize>(
         n_live += usize::from(av.iter().any(|&x| x != 0.0));
     }
     let (panel, live) = (&panel[..n_live], &live[..n_live]);
-    let mut j = 0;
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-    while j + zmm::NR <= g.n {
-        // SAFETY: this loop is compiled only into builds that target
-        // AVX-512F, which run only on CPUs that have it.
-        unsafe { zmm::gemm_tile::<R>(g, panel, live, j, out) };
-        j += zmm::NR;
-    }
+    let mut j = zmm::gemm_columns::<R>(g, panel, live, out);
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    let mut j = 0;
     while j + NR <= g.n {
         gemm_tile::<R, NR>(g, panel, live, j, out);
         j += NR;
@@ -1165,27 +1258,43 @@ fn gemm_row_tile<const R: usize>(
     }
 }
 
-/// Output row `i` alone, as an AXPY over the row itself (which stays in
-/// L1), in the same per-element order as [`gemm_tile`]. It reads `b` row
-/// after row, which the prefetchers stream faster than a register tile's
-/// column panels when the weights do not fit L2, and it needs no packing
-/// pass: an occupancy-1 decode step measured 5–9 % faster this way.
+/// Output row `i` alone, in the same per-element order as [`gemm_tile`],
+/// with no packing pass: the row's `a` is read in place and each `k` at
+/// which it is zero is skipped. AVX-512 builds hold 64-column blocks in
+/// `zmm` accumulators for the whole `k` loop; the columns left over (all
+/// of them elsewhere) run as an AXPY over the output row, which stays in
+/// L1 while `b` streams past row after row.
 fn gemm_row(g: &Gemm<'_>, i: usize, out: &mut [f32]) {
     let a = &g.a[i * g.lda..(i + 1) * g.lda];
+    let nk = g.ks_below(g.limit(i));
+    match *g.ks {
+        KSet::All(_) => gemm_row_over(g, a, 0..nk, out),
+        KSet::List(list) => gemm_row_over(g, a, list[..nk].iter().map(|&k| k as usize), out),
+    }
+}
+
+/// [`gemm_row`] over the participating `k`, in ascending order.
+#[inline(always)]
+fn gemm_row_over(
+    g: &Gemm<'_>,
+    a: &[f32],
+    ks: impl Iterator<Item = usize> + Clone,
+    out: &mut [f32],
+) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    let j = zmm::gemm_row_columns(g, a, ks.clone(), out);
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    let j = 0;
+    let out = &mut out[j..g.n];
     out.fill(0.0);
-    let mut axpy = |k: usize| {
+    for k in ks {
         let av = a[k];
         if av != 0.0 {
-            let brow = &g.b[k * g.ldb + g.bcol..][..g.n];
+            let brow = &g.b[k * g.ldb + g.bcol + j..][..out.len()];
             for (o, &bv) in out.iter_mut().zip(brow) {
                 *o = bv.mul_add(av, *o);
             }
         }
-    };
-    let nk = g.ks_below(g.limit(i));
-    match *g.ks {
-        KSet::All(_) => (0..nk).for_each(axpy),
-        KSet::List(list) => list[..nk].iter().for_each(|&k| axpy(k as usize)),
     }
 }
 
@@ -1306,9 +1415,7 @@ fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32]
     let mut j = 0;
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     if job.hd.is_multiple_of(LANES) {
-        // SAFETY: this block is compiled only into builds that target
-        // AVX-512F, which run only on CPUs that have it.
-        j = unsafe { zmm::scores_row_tile::<R>(job, qt, i, end, out) };
+        j = zmm::scores_keys::<R>(job, qt, i, end, out);
     }
     while j < end {
         let s = score_tile::<R>(qt, job.keys.panel(j / SK, job.key_lo, job.hd));
@@ -1360,21 +1467,23 @@ fn score_tile<const R: usize>(qt: &[[f32; R]], kp: &[[f32; SK]]) -> [[f32; SK]; 
     s
 }
 
-/// The GEMM and score tiles at full AVX-512 width, compiled in when the
-/// build targets it (`.cargo/config.toml` builds for the host CPU). LLVM's
-/// tuning for AVX-512 Xeons prefers 256-bit vectors, so the portable tiles
-/// compile to `ymm` code that reaches half the FMA peak of `zmm` code
-/// (a synthetic FMA loop on one 2.1 GHz Xeon vCPU: 54–72 GFLOP/s on
-/// `ymm`, 119–136 on `zmm`). These tiles keep the
-/// portable tiles' per-element order exactly: `_mm512_fmadd_ps(b,
+/// The GEMM, single-row product and score kernels at full AVX-512 width,
+/// compiled in when the build targets it (`.cargo/config.toml` builds for
+/// the host CPU). LLVM's tuning for AVX-512 Xeons prefers 256-bit vectors,
+/// so the portable tiles compile to `ymm` code that reaches half the FMA
+/// peak of `zmm` code (a synthetic FMA loop on one 2.1 GHz Xeon vCPU:
+/// 54–72 GFLOP/s on `ymm`, 119–136 on `zmm`). These kernels keep the
+/// portable kernels' per-element order exactly: `_mm512_fmadd_ps(b,
 /// set1(a), acc)` is the same correctly rounded operation per lane as
 /// `b.mul_add(a, acc)`, and an unfused add is an unfused add. The portable
 /// tiles stay as the fallback for every other target.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod zmm {
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+        __m512, __mmask16, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
+        _mm512_unpacklo_pd, _mm512_unpacklo_ps,
     };
 
     use super::{Gemm, Scores, LANES, SK};
@@ -1383,13 +1492,224 @@ mod zmm {
     const W: usize = 16;
     /// Columns of the GEMM tile: four `zmm` accumulators per row, so the
     /// six-row tile holds 24 of the 32 `zmm` registers.
-    pub(super) const NR: usize = 4 * W;
+    const NR: usize = 4 * W;
 
-    /// [`super::gemm_tile`] for `R × 64` columns at `j`, with the same
+    // The safe entry points: each calls the `avx512f` kernels, which is
+    // sound because this module is compiled only into builds that target
+    // AVX-512F, and those run only on CPUs that have it.
+
+    /// The columns of [`super::gemm_row_tile`] that `zmm` tiles cover:
+    /// 64-column tiles, then a 32- and a 16-column tail (LLVM compiles the
+    /// portable 32-column tile at 4–6 rows to code several times slower
+    /// per product). Returns the first column left over.
+    pub(super) fn gemm_columns<const R: usize>(
+        g: &Gemm<'_>,
+        panel: &[[f32; R]],
+        live: &[u32],
+        out: &mut [f32],
+    ) -> usize {
+        let mut j = 0;
+        while j + NR <= g.n {
+            // SAFETY: an AVX-512F build (see above).
+            unsafe { gemm_tile::<R, 4>(g, panel, live, j, out) };
+            j += NR;
+        }
+        if j + 2 * W <= g.n {
+            // SAFETY: an AVX-512F build (see above).
+            unsafe { gemm_tile::<R, 2>(g, panel, live, j, out) };
+            j += 2 * W;
+        }
+        if j + W <= g.n {
+            // SAFETY: an AVX-512F build (see above).
+            unsafe { gemm_tile::<R, 1>(g, panel, live, j, out) };
+            j += W;
+        }
+        j
+    }
+
+    /// The full 64-column blocks of [`super::gemm_row`] over the `k` in
+    /// `ks`. Returns the first column left over.
+    pub(super) fn gemm_row_columns(
+        g: &Gemm<'_>,
+        a: &[f32],
+        ks: impl Iterator<Item = usize> + Clone,
+        out: &mut [f32],
+    ) -> usize {
+        let mut j = 0;
+        while j + NR <= g.n {
+            // SAFETY: an AVX-512F build (see above).
+            unsafe { gemm_row_tile(g, a, ks.clone(), j, out) };
+            j += NR;
+        }
+        j
+    }
+
+    /// See [`scores_row_tile`].
+    pub(super) fn scores_keys<const R: usize>(
+        job: &Scores<'_>,
+        qt: &[[f32; R]],
+        i: usize,
+        end: usize,
+        out: &mut [f32],
+    ) -> usize {
+        // SAFETY: an AVX-512F build (see above).
+        unsafe { scores_row_tile::<R>(job, qt, i, end, out) }
+    }
+
+    /// See [`scores_row_dot`].
+    pub(super) fn scores_dot(
+        q: &[f32],
+        b: &[f32],
+        ldb: usize,
+        lo: usize,
+        lim: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) -> usize {
+        // SAFETY: an AVX-512F build (see above).
+        unsafe { scores_row_dot(q, b, ldb, lo, lim, scale, out) }
+    }
+
+    /// [`super::gemm_row`]'s 64 columns at `j`: four `zmm` accumulators
+    /// run the whole `k` loop (`a[k]`, skipped where zero, times `b`'s
+    /// row `k`) and are stored once, with [`super::gemm_tile`]'s
     /// per-element contract.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(super) fn gemm_tile<const R: usize>(
+    fn gemm_row_tile(
+        g: &Gemm<'_>,
+        a: &[f32],
+        ks: impl Iterator<Item = usize>,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let col = g.bcol + j;
+        let mut acc = [_mm512_setzero_ps(); 4];
+        for k in ks {
+            let av = a[k];
+            if av != 0.0 {
+                let brow = &g.b[k * g.ldb + col..][..NR];
+                let av = _mm512_set1_ps(av);
+                for (c, x) in acc.iter_mut().enumerate() {
+                    // SAFETY: `brow` holds 64 floats, so `16c .. 16c + 16`
+                    // is inside it (`c < 4`).
+                    let bv = unsafe { _mm512_loadu_ps(brow.as_ptr().add(W * c)) };
+                    *x = _mm512_fmadd_ps(bv, av, *x);
+                }
+            }
+        }
+        let dst = &mut out[j..j + NR];
+        for (c, &x) in acc.iter().enumerate() {
+            // SAFETY: `dst` holds 64 floats, so `16c .. 16c + 16` is inside
+            // it (`c < 4`).
+            unsafe { _mm512_storeu_ps(dst.as_mut_ptr().add(W * c), x) };
+        }
+    }
+
+    /// The dot kernel of [`super::Matrix::scores_dot_into`] for one query
+    /// row `q` whose length (the head dim) is whole [`LANES`]-lane chunks:
+    /// keys `0..lim` of `b` (row stride `ldb`, dims from column `lo`) in
+    /// blocks of 16, each key's score `dot1(q, k) · scale` stored into
+    /// `out`. Returns the first key it did not score (`lim` rounded down to
+    /// a block).
+    ///
+    /// Per key, one `zmm` holds [`super::dot1`]'s 16 lane accumulators
+    /// (lane `t` runs the fused products of dims `t, t + 16, …` from
+    /// `+0.0`). A 16 × 16 transpose puts lane `t` of all 16 keys into one
+    /// vector, so adding the 16 transposed vectors into `+0.0` in order
+    /// sums every key's lanes in lane order at once, where `dot1` ends
+    /// each key with 16 dependent scalar adds.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn scores_row_dot(
+        q: &[f32],
+        b: &[f32],
+        ldb: usize,
+        lo: usize,
+        lim: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) -> usize {
+        let (qc, tail) = q.as_chunks::<W>();
+        assert!(tail.is_empty(), "head dim is whole 16-lane chunks");
+        let hd = q.len();
+        let scale = _mm512_set1_ps(scale);
+        let mut j = 0;
+        while j + SK <= lim {
+            let keys: [&[[f32; W]]; SK] =
+                std::array::from_fn(|x| b[(j + x) * ldb + lo..][..hd].as_chunks().0);
+            let mut acc = [_mm512_setzero_ps(); SK];
+            for (c, qv) in qc.iter().enumerate() {
+                // SAFETY: `qv` is a `[f32; 16]`, exactly one `zmm` load.
+                let qv = unsafe { _mm512_loadu_ps(qv.as_ptr()) };
+                for (x, k) in acc.iter_mut().zip(&keys) {
+                    // SAFETY: `k[c]` is a `[f32; 16]`, exactly one `zmm`
+                    // load.
+                    let kv = unsafe { _mm512_loadu_ps(k[c].as_ptr()) };
+                    *x = _mm512_fmadd_ps(qv, kv, *x);
+                }
+            }
+            let s = transpose16(acc)
+                .iter()
+                .fold(_mm512_setzero_ps(), |s, &v| _mm512_add_ps(s, v));
+            let dst = &mut out[j..j + SK];
+            // SAFETY: `dst` holds 16 floats, exactly one `zmm` store.
+            unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_mul_ps(s, scale)) };
+            j += SK;
+        }
+        j
+    }
+
+    /// Transposes the 16 × 16 block whose row `x` is `r[x]`, in 64
+    /// shuffles: lane `x` of output `t` is lane `t` of `r[x]`. 32-bit then
+    /// 64-bit interleaves gather four rows' element `4L + e` in each
+    /// 128-bit lane `L`; two rounds of 128-bit lane shuffles then bring the
+    /// four row groups of one element together.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose16(r: [__m512; 16]) -> [__m512; 16] {
+        let t: [__m512; 16] = std::array::from_fn(|x| {
+            let (a, b) = (r[x & !1], r[x | 1]);
+            match x % 2 {
+                0 => _mm512_unpacklo_ps(a, b),
+                _ => _mm512_unpackhi_ps(a, b),
+            }
+        });
+        // `u[4g + e]`, lane `L`: rows `4g..4g + 4` at element `4L + e`.
+        let u: [__m512; 16] = std::array::from_fn(|x| {
+            let (g, e) = (x / 4, x % 4);
+            let a = _mm512_castps_pd(t[4 * g + e / 2]);
+            let b = _mm512_castps_pd(t[4 * g + e / 2 + 2]);
+            _mm512_castpd_ps(match e % 2 {
+                0 => _mm512_unpacklo_pd(a, b),
+                _ => _mm512_unpackhi_pd(a, b),
+            })
+        });
+        // `v[e]` / `w[e]`: lanes 0–1 of row groups 0, 1 / 2, 3 at element
+        // `e` (and of `4L + e`); `v[4 + e]` / `w[4 + e]`: lanes 2–3.
+        let v: [__m512; 8] = std::array::from_fn(|x| match x / 4 {
+            0 => _mm512_shuffle_f32x4::<0x44>(u[x], u[4 + x]),
+            _ => _mm512_shuffle_f32x4::<0xEE>(u[x - 4], u[x]),
+        });
+        let w: [__m512; 8] = std::array::from_fn(|x| match x / 4 {
+            0 => _mm512_shuffle_f32x4::<0x44>(u[8 + x], u[12 + x]),
+            _ => _mm512_shuffle_f32x4::<0xEE>(u[4 + x], u[8 + x]),
+        });
+        std::array::from_fn(|t| {
+            let (l, e) = (t / 4, t % 4);
+            let (a, b) = (v[4 * (l / 2) + e], w[4 * (l / 2) + e]);
+            match l % 2 {
+                0 => _mm512_shuffle_f32x4::<0x88>(a, b),
+                _ => _mm512_shuffle_f32x4::<0xDD>(a, b),
+            }
+        })
+    }
+
+    /// [`super::gemm_tile`] for `R × 16V` columns at `j` (`V` accumulators
+    /// per row), with the same per-element contract.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn gemm_tile<const R: usize, const V: usize>(
         g: &Gemm<'_>,
         panel: &[[f32; R]],
         live: &[u32],
@@ -1399,17 +1719,17 @@ mod zmm {
         let col = g.bcol + j;
         let kmax = live.iter().copied().max().map_or(0, |k| k as usize);
         assert!(
-            live.is_empty() || kmax * g.ldb + col + NR <= g.b.len(),
+            live.is_empty() || kmax * g.ldb + col + V * W <= g.b.len(),
             "gemm tile reads past b"
         );
-        let mut acc = [[_mm512_setzero_ps(); 4]; R];
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
         for (av, &k) in panel.iter().zip(live) {
-            // SAFETY: `k ≤ kmax`, and the assert above puts the 64 floats
-            // from `k·ldb + col` inside `g.b`.
+            // SAFETY: `k ≤ kmax`, and the assert above puts the `16V`
+            // floats from `k·ldb + col` inside `g.b`.
             let bk = unsafe { g.b.as_ptr().add(k as usize * g.ldb + col) };
-            let bv: [__m512; 4] = std::array::from_fn(|c| {
-                // SAFETY: `bk + 16c .. bk + 16c + 16` lies in the 64 floats
-                // asserted above (`c < 4`).
+            let bv: [__m512; V] = std::array::from_fn(|c| {
+                // SAFETY: `bk + 16c .. bk + 16c + 16` lies in the `16V`
+                // floats asserted above (`c < V`).
                 unsafe { _mm512_loadu_ps(bk.add(W * c)) }
             });
             for (ar, &a) in acc.iter_mut().zip(av) {
@@ -1420,10 +1740,10 @@ mod zmm {
             }
         }
         for (r, ar) in acc.iter().enumerate() {
-            let dst = &mut out[r * g.n + j..][..NR];
+            let dst = &mut out[r * g.n + j..][..V * W];
             for (c, &x) in ar.iter().enumerate() {
-                // SAFETY: `dst` holds 64 floats, so `16c .. 16c + 16` is
-                // inside it (`c < 4`).
+                // SAFETY: `dst` holds `16V` floats, so `16c .. 16c + 16` is
+                // inside it (`c < V`).
                 unsafe { _mm512_storeu_ps(dst.as_mut_ptr().add(W * c), x) };
             }
         }
@@ -1436,7 +1756,7 @@ mod zmm {
     /// it did not store (`end`, rounded up to a panel).
     #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(super) fn scores_row_tile<const R: usize>(
+    fn scores_row_tile<const R: usize>(
         job: &Scores<'_>,
         qt: &[[f32; R]],
         i: usize,
@@ -1678,6 +1998,27 @@ mod tests {
                 assert_bits(&got, &spec_matmul(&a, &b), &format!("{m}x{k}x{n}"));
             }
         }
+        // Single rows (a decode step's products) on both sides of the
+        // 64-column register blocks, over every `k` and over a row-sparse
+        // right operand's listed `k`.
+        for k in [64, 224] {
+            for n in [1, 63, 64, 65, 224, 768] {
+                let seed = (k * 1000 + n) as u64;
+                let dense = seeded(k, n, seed ^ 0xABCD);
+                let mut sparse = dense.clone();
+                for r in (0..k).filter(|r| r % 3 != 0) {
+                    sparse.row_mut(r).fill(0.0);
+                }
+                for a in [seeded(1, k, seed), seeded_with_zeros(1, k, seed)] {
+                    for (b, list) in [(&dense, false), (&sparse, true)] {
+                        let ks = pick_kset(a.density(), b.density(), k);
+                        assert_eq!(matches!(ks, KSet::List(_)), list);
+                        let what = format!("1x{k}x{n}, listed k: {list}");
+                        assert_bits(&a.matmul(b), &spec_matmul(&a, b), &what);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1741,6 +2082,37 @@ mod tests {
     }
 
     #[test]
+    fn density_probe_lists_exactly_the_sparse_axes() {
+        // Against a direct scan, across the 256-column flag blocks and on
+        // both sides of the sparse fraction, for each axis.
+        for (rows, cols) in [(0, 5), (5, 0), (1, 1), (7, 256), (9, 257), (40, 600)] {
+            for keep in [1, 2, 3, 4, 5] {
+                let mut a = seeded_with_zeros(rows, cols, (rows * cols + keep) as u64);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        if r % keep != 0 || (c * 7) % (keep + 1) == 1 {
+                            a[(r, c)] = 0.0;
+                        }
+                    }
+                }
+                let nz_rows: Vec<u32> = (0..rows as u32)
+                    .filter(|&r| a.row(r as usize).iter().any(|&v| v != 0.0))
+                    .collect();
+                let nz_cols: Vec<u32> = (0..cols as u32)
+                    .filter(|&c| (0..rows).any(|r| a[(r, c as usize)] != 0.0))
+                    .collect();
+                let list = |nz: Vec<u32>, of: usize| {
+                    ((nz.len() as f32) <= of as f32 * SPARSE_FRACTION).then_some(nz)
+                };
+                let p = a.density();
+                let what = format!("{rows}x{cols}, keep {keep}");
+                assert_eq!(p.nz_rows, list(nz_rows, rows), "rows of {what}");
+                assert_eq!(p.nz_cols, list(nz_cols, cols), "columns of {what}");
+            }
+        }
+    }
+
+    #[test]
     fn col_block_kernels_match_copied_blocks() {
         let q = seeded(7, 96, 31);
         let kmat = seeded(13, 96, 32);
@@ -1768,6 +2140,8 @@ mod tests {
             (49, 70, 96, 160),
             (20, 70, 31, 96),
             (9, 40, 0, 224),
+            (1, 70, 64, 128),
+            (1, 70, 0, 224),
         ] {
             let rhs = vmat.slice_rows(0, keys);
             let vh = rhs.col_block(lo, hi);
@@ -1880,6 +2254,50 @@ mod tests {
             }
         }
         crate::pool::set_threads(1);
+    }
+
+    #[test]
+    fn dot_score_kernel_matches_dot1_bit_for_bit() {
+        // The kernel of every score call below the tile threshold (AVX-512
+        // builds run its 16-key blocks with transposed lane sums when the
+        // head dim is whole 16-lane chunks; hd 40 takes the fallback)
+        // against `dot1 · scale`, for key counts around a block and limits
+        // of none, part and all of the keys.
+        let scale = 0.37;
+        for hd in [16, 40, 64] {
+            let (lo, hi) = (hd, 2 * hd);
+            for keys in [1, 15, 16, 17, 100, 129] {
+                let kmat = seeded_with_zeros(keys, 3 * hd, (hd * 1000 + keys) as u64);
+                for rows in 1..SCORE_TILE_MIN_ROWS {
+                    let q = seeded_with_zeros(rows, 3 * hd, (rows * 31 + keys) as u64);
+                    for shift in 0..3 {
+                        let limits: Vec<usize> = (0..rows)
+                            .map(|i| match (i + shift) % 3 {
+                                0 => 0,
+                                1 => keys,
+                                _ if i % 2 == 0 => keys - 1,
+                                _ => keys * (i + 1) / (rows + 1),
+                            })
+                            .collect();
+                        let want = Matrix::from_fn(rows, keys, |i, j| {
+                            if j < limits[i] {
+                                dot1(&q.row(i)[lo..hi], &kmat.row(j)[lo..hi]) * scale
+                            } else {
+                                0.0
+                            }
+                        });
+                        let what = format!("hd {hd}, {keys} keys, limits {limits:?}");
+                        let mut out = Matrix::zeros(0, 0);
+                        q.scores_dot_into(&kmat, lo, hi, &limits, scale, &mut out);
+                        assert_bits(&out, &want, &format!("dot, {what}"));
+                        q.matmul_transposed_block_limited_into(
+                            &kmat, lo, hi, &limits, scale, &mut out,
+                        );
+                        assert_bits(&out, &want, &format!("dispatch, {what}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

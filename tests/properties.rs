@@ -1263,7 +1263,9 @@ fn recall_prompt(rng: &mut SmallRng, v: &Vocab) -> Vec<u32> {
 
 /// Continuous batched decode is bit-identical to the sequential decode
 /// loop under every combination of pool thread count (1..=4), occupancy
-/// cap (1/2/8), and a randomized mid-flight admission schedule: every
+/// cap (1/2/3/7/8: at 3 the stacked per-head output projection is one
+/// remainder tile, at 7 one full 6-row tile plus a single-row product),
+/// and a randomized mid-flight admission schedule: every
 /// sequence's emitted tokens and final KV cache must equal the ones from
 /// an isolated sequential decode, byte for byte.
 #[test]
@@ -1293,7 +1295,7 @@ fn batched_decode_matches_sequential_bit_for_bit() {
         .collect();
 
     for threads in 1..=4usize {
-        for cap in [1usize, 2, 8] {
+        for cap in [1usize, 2, 3, 7, 8] {
             pool::set_threads(threads);
             let mut schedule =
                 SmallRng::seed_from_u64(0x5EED ^ ((threads as u64) << 8) ^ cap as u64);
