@@ -743,6 +743,7 @@ impl EngineBuilder {
                 // One request's layers until a service says how many can
                 // be in flight (`EngineService::new`).
                 layers: LayerPool::new(model.n_layers()),
+                bos: cb_kv::precompute::bos_cache(&model),
                 model,
                 store,
                 tier_devices,
@@ -780,6 +781,9 @@ struct EngineCore {
     /// Free list of fused-cache layers: blends take from it,
     /// [`Engine::recycle`] gives back.
     layers: LayerPool,
+    /// The BOS sink's one-row cache every blend starts with, computed
+    /// once for the engine's model.
+    bos: KvCache,
 }
 
 impl Engine {
@@ -1004,6 +1008,7 @@ impl EngineCore {
             parts,
             &request.query,
             throttle,
+            &self.bos,
             &self.layers,
             request.max_new_tokens,
         )?;

@@ -10,8 +10,22 @@
 //! 3. On each later layer, compute fresh K/V for the surviving candidate
 //!    tokens, rank them by KV deviation against the loaded cache, keep the
 //!    top `r_l` fraction (the HKVD tokens), overwrite only their cache
-//!    rows, and run masked attention for them alone (§4.2's workflow — the
-//!    compute is proportional to the selected count).
+//!    rows, and run masked attention for them alone (§4.2's workflow).
+//!    Exactly which rows get what on layer `l` of `n`:
+//!    - **K and V**: every candidate row (all context rows on layers 0
+//!      and 1, then the rows kept on layer `l − 1`) and the suffix. The
+//!      deviation ranking needs every candidate's fresh K/V.
+//!    - **Q, attention, output projection and MLP**: the kept rows and the
+//!      suffix (every row on layer 0, in place), since their residuals
+//!      are the next layer's candidates. Queries are projected after the
+//!      selection, from those rows alone.
+//!    - **The last layer** scatters its kept rows' fresh K/V like any
+//!      other, but attends for the suffix only. A kept row's output there
+//!      would be its final residual, and a blend returns only the cache
+//!      and the suffix's last residual, so nothing would read it.
+//!
+//!    So past layer 0 the Q, attention and MLP work is proportional to
+//!    the selected count, and the K/V work to the previous layer's.
 //! 4. `r_l` follows the gradual-filtering schedule (§4.3): slightly above
 //!    the target ratio on early layers, tapering below it later, so
 //!    selection integrates deviation evidence from several layers.
@@ -33,32 +47,25 @@ use rand::SeedableRng;
 use crate::deviation::row_deviation;
 use crate::rope_align;
 
-/// Buffers for the fusor's per-layer HKVD gather → recompute → scatter
-/// loop: the per-layer QKV projections, deviation scores, gathered K/V
-/// rows, the shrinking residual, and the attention scratch. Every blend
-/// runs on its thread's arena (`SCRATCH`), so a serving thread grows
-/// these buffers once to its largest request and reuses them after that.
+/// Buffers for the fusor's per-layer HKVD recompute → select → scatter
+/// loop: the per-layer QKV projections, deviation scores, the shrinking
+/// residual, and the attention scratch. Every blend runs on its thread's
+/// arena (`SCRATCH`), so a serving thread grows these buffers once to its
+/// largest request and reuses them after that.
 #[derive(Debug, Default)]
 struct BlendScratch {
     /// Forward-pass buffers (QKV, attention, MLP).
     fwd: Scratch,
     /// Residual rows of the surviving tokens.
     x: Matrix,
-    /// Next layer's residual (ping-pong partner of `x`).
+    /// Gather staging for the narrowed residual (ping-pong partner of
+    /// `x`).
     x_new: Matrix,
-    /// Gathered fresh K rows of the selected tokens.
-    k_sel: Matrix,
-    /// Gathered fresh V rows of the selected tokens.
-    v_sel: Matrix,
-    /// Gathered queries of the active rows.
-    q_act: Matrix,
     /// Per-candidate KV deviation of the current layer.
     dev: Vec<f32>,
     /// Residual-row indices kept on the current layer.
     keep: Vec<usize>,
-    /// Cache rows the kept indices map to.
-    cache_rows: Vec<usize>,
-    /// Kept rows plus the suffix rows.
+    /// The residual rows that attend on the current layer.
     active: Vec<usize>,
     /// Cache row of each residual row.
     row_ids: Vec<usize>,
@@ -66,7 +73,7 @@ struct BlendScratch {
     row_ids_new: Vec<usize>,
     /// Absolute position of each residual row.
     x_pos: Vec<usize>,
-    /// Positions of the active rows.
+    /// Gather staging for `x_pos`.
     act_pos: Vec<usize>,
     /// Key positions (all context + suffix rows).
     k_pos: Vec<usize>,
@@ -95,17 +102,10 @@ pub(crate) fn poison_thread_scratch() {
         }
     }
     SCRATCH.with_borrow_mut(|sc| {
-        nan(&mut [
-            &mut sc.x,
-            &mut sc.x_new,
-            &mut sc.k_sel,
-            &mut sc.v_sel,
-            &mut sc.q_act,
-        ]);
+        nan(&mut [&mut sc.x, &mut sc.x_new]);
         sc.dev.fill(f32::NAN);
         for v in [
             &mut sc.keep,
-            &mut sc.cache_rows,
             &mut sc.active,
             &mut sc.row_ids,
             &mut sc.row_ids_new,
@@ -120,7 +120,6 @@ pub(crate) fn poison_thread_scratch() {
         let keys = Matrix::from_fn(f.k.rows(), f.k.cols(), |_, _| f32::NAN);
         nan(&mut [
             &mut f.x,
-            &mut f.fused,
             &mut f.q,
             &mut f.k,
             &mut f.v,
@@ -378,16 +377,8 @@ impl<'m> Fusor<'m> {
             // §6 synchronize(): block until this layer's KV is in memory.
             let mut lkv = next_layer(layer)?;
             assert_eq!(lkv.len(), ctx_len, "layer {layer} has wrong row count");
-            model.qkv_into(
-                layer,
-                &sc.x,
-                &sc.x_pos,
-                &mut sc.fwd.q,
-                &mut sc.fwd.k,
-                &mut sc.fwd.v,
-                &mut sc.fwd.fused,
-            );
-            let (q, k, v) = (&sc.fwd.q, &sc.fwd.k, &sc.fwd.v);
+            model.kv_into(layer, &sc.x, &sc.x_pos, &mut sc.fwd.k, &mut sc.fwd.v);
+            let (k, v) = (&sc.fwd.k, &sc.fwd.v);
             let nc = sc.x.rows() - s; // candidate context rows in x
 
             sc.keep.clear();
@@ -437,28 +428,45 @@ impl<'m> Fusor<'m> {
                 // locality.
                 sc.keep.sort_unstable();
             }
-            sc.cache_rows.clear();
-            sc.cache_rows.extend(sc.keep.iter().map(|&i| sc.row_ids[i]));
 
             // Overwrite the selected tokens' KV with fresh values; append
             // the suffix KV (computed fresh every layer).
-            k.gather_rows_into(&sc.keep, &mut sc.k_sel);
-            v.gather_rows_into(&sc.keep, &mut sc.v_sel);
-            lkv.scatter(&sc.cache_rows, &sc.k_sel, &sc.v_sel);
+            for &i in &sc.keep {
+                let r = sc.row_ids[i];
+                lkv.k.set_row(r, k.row(i));
+                lkv.v.set_row(r, v.row(i));
+            }
             lkv.append_rows(k, v, nc, nc + s);
 
-            // Narrow the residual to the surviving rows + suffix and attend.
+            // The rows that attend: the kept rows and the suffix. On the
+            // last layer only the suffix: the kept rows' output there
+            // would be a final residual nothing reads.
             sc.active.clear();
-            sc.active.extend_from_slice(&sc.keep);
+            if layer + 1 < n_layers {
+                sc.active.extend_from_slice(&sc.keep);
+            }
             sc.active.extend(nc..nc + s);
-            q.gather_rows_into(&sc.active, &mut sc.q_act);
-            sc.act_pos.clear();
-            sc.act_pos.extend(sc.active.iter().map(|&i| sc.x_pos[i]));
+            // Narrow the residual to the active rows, unless they are all
+            // of it (layer 0, a frozen first-layer set).
+            if sc.active.len() < sc.x.rows() {
+                sc.x.gather_rows_into(&sc.active, &mut sc.x_new);
+                std::mem::swap(&mut sc.x, &mut sc.x_new);
+                sc.act_pos.clear();
+                sc.act_pos.extend(sc.active.iter().map(|&i| sc.x_pos[i]));
+                std::mem::swap(&mut sc.x_pos, &mut sc.act_pos);
+                sc.row_ids_new.clear();
+                sc.row_ids_new
+                    .extend(sc.active.iter().map(|&i| sc.row_ids[i]));
+                std::mem::swap(&mut sc.row_ids, &mut sc.row_ids_new);
+            }
+
+            // Queries for the active rows alone, then attention and the MLP.
+            model.q_into(layer, &sc.x, &sc.x_pos, &mut sc.fwd.q);
             let mut probs = trace.as_ref().map(|_| Matrix::zeros(0, 0));
             model.attend_into(
                 layer,
-                &sc.q_act,
-                &sc.act_pos,
+                &sc.fwd.q,
+                &sc.x_pos,
                 &lkv.k,
                 &lkv.v,
                 &sc.k_pos,
@@ -466,28 +474,20 @@ impl<'m> Fusor<'m> {
                 &mut sc.fwd.delta,
                 &mut sc.fwd.attend,
             );
-            sc.x.gather_rows_into(&sc.active, &mut sc.x_new);
-            sc.x_new.add_assign(&sc.fwd.delta);
+            sc.x.add_assign(&sc.fwd.delta);
             if model.layers[layer].mlp.forward_into(
-                &sc.x_new,
+                &sc.x,
                 &mut sc.fwd.h1,
                 &mut sc.fwd.h2,
                 &mut sc.fwd.mlp_out,
             ) {
-                sc.x_new.add_assign(&sc.fwd.mlp_out);
+                sc.x.add_assign(&sc.fwd.mlp_out);
             }
             if let (Some(t), Some(p)) = (trace.as_mut(), probs) {
                 // Record the suffix rows' attention only (the forward
                 // attention matrix of §2).
                 t.attn.push(p.slice_rows(p.rows() - s, p.rows()));
             }
-
-            sc.row_ids_new.clear();
-            sc.row_ids_new
-                .extend(sc.active.iter().map(|&i| sc.row_ids[i]));
-            std::mem::swap(&mut sc.row_ids, &mut sc.row_ids_new);
-            std::mem::swap(&mut sc.x_pos, &mut sc.act_pos);
-            std::mem::swap(&mut sc.x, &mut sc.x_new);
             done_layers.push(lkv);
         }
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use cb_kv::prefetch::PrefetchHandle;
 use cb_kv::store::StoreError;
-use cb_model::{LayerKv, Model};
+use cb_model::{KvCache, LayerKv, Model};
 use cb_obs::metrics::{Counter, Gauge, Registry};
 use cb_tokenizer::TokenId;
 use crossbeam::channel::bounded;
@@ -162,12 +162,15 @@ pub fn blend_prefetched(
         handles,
         suffix,
         extra_throttle,
+        &cb_kv::precompute::bos_cache(model),
         &LayerPool::new(0),
         0,
     )
 }
 
-/// [`blend_prefetched`] with its fused layers taken from `pool`, each
+/// [`blend_prefetched`] with the BOS sink's cache given (`bos`, which
+/// [`bos_cache`](cb_kv::precompute::bos_cache) computes: an engine builds
+/// it once, not per request) and its fused layers taken from `pool`, each
 /// with capacity for the context, the suffix and `decode_rows` decoded
 /// tokens — so neither the fusor's suffix append nor a decode of up to
 /// `decode_rows` tokens reallocates it.
@@ -175,12 +178,14 @@ pub fn blend_prefetched(
 /// # Errors
 ///
 /// As [`blend_prefetched`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn blend_prefetched_pooled(
     model: &Model,
     cfg: BlendConfig,
     mut handles: Vec<PrefetchHandle>,
     suffix: &[TokenId],
     extra_throttle: Option<Duration>,
+    bos: &KvCache,
     pool: &LayerPool,
     decode_rows: usize,
 ) -> Result<PipelineOutput, StoreError> {
@@ -193,7 +198,6 @@ pub(crate) fn blend_prefetched_pooled(
     }
 
     // Context metadata: BOS at 0, then each chunk relocated after the last.
-    let bos = cb_kv::precompute::bos_cache(model);
     let mut offsets = Vec::with_capacity(handles.len());
     let mut positions: Vec<usize> = vec![0];
     let mut tokens: Vec<TokenId> = bos.tokens.clone();
@@ -614,14 +618,16 @@ mod tests {
         }
         for profile in [ModelProfile::Tiny, ModelProfile::Mistral7B] {
             let m = Model::compiled(ModelConfig::standard(profile, 11));
+            let bos = cb_kv::precompute::bos_cache(&m);
             let cases = [(3, 24, 1), (2, 12, 2), (6, 32, 3)]
                 .map(|(n, rows, seed)| random_case(&m, seed, n, rows));
             let serve = |(chunks, query): &(Vec<Vec<TokenId>>, Vec<TokenId>), pool: &LayerPool| {
                 let handles = ram_handles(&serialize_chunks(&m, chunks));
                 let cfg = BlendConfig::default();
-                let mut out = blend_prefetched_pooled(&m, cfg, handles, query, None, pool, DECODE)
-                    .unwrap()
-                    .result;
+                let mut out =
+                    blend_prefetched_pooled(&m, cfg, handles, query, None, &bos, pool, DECODE)
+                        .unwrap()
+                        .result;
                 let bits = (out.cache.layers.iter())
                     .flat_map(|l| [&l.k, &l.v])
                     .flat_map(|mat| mat.as_slice())

@@ -10,7 +10,7 @@
 //! # What is fused, what stays per-sequence
 //!
 //! Per step, the token-parallel stages run as one multi-row kernel call
-//! across every active sequence: embedding, the fused QKV projection
+//! across every active sequence: embedding, the Q, K and V projections
 //! (+ per-row RoPE at each sequence's own position), the MLP, the
 //! attention output projection, and the final logits matmul. Attention's
 //! context stage cannot fuse — each sequence attends over its own K/V
@@ -127,7 +127,6 @@ pub struct DecodeBatch {
     // Step scratch, reused across steps (see the module docs for what a
     // warm step allocates).
     logits: Matrix,
-    fused: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
@@ -264,7 +263,7 @@ impl DecodeBatch {
             return retired;
         }
 
-        // Forward the survivors' pending tokens: fused embed/QKV/MLP
+        // Forward the survivors' pending tokens: batched embed/QKV/MLP
         // across all rows, per-sequence attention context fanned out on
         // the pool, one output projection per head across all rows.
         let n = self.slots.len();
@@ -285,7 +284,6 @@ impl DecodeBatch {
                 &mut self.q,
                 &mut self.k,
                 &mut self.v,
-                &mut self.fused,
             );
             let (q, k, v) = (&self.q, &self.k, &self.v);
             // One job per pool worker, each covering a contiguous slot

@@ -17,8 +17,15 @@
 //!
 //! # Execution path
 //!
-//! QKV is a single fused blocked matmul over
-//! [`crate::weights::Layer::fused_qkv`] plus in-place RoPE; attention reads
+//! QKV is three blocked matmuls, one per projection
+//! ([`crate::weights::Layer::wq`], `wk`, `wv`, each `d_model × kv_width`
+//! with head-major columns), each written straight into its own output
+//! with its own density probe and pool split, so no fused product is
+//! staged and split into copies. [`Model::kv_into`] and
+//! [`Model::q_into`] run the halves on their own, so a caller that needs
+//! queries for fewer rows than keys (the fusor) projects only those. RoPE
+//! rotates in place with angles read from the head's
+//! [`cb_tensor::rope::RopeTable`] angle table. Attention reads
 //! per-head column blocks in place (no `col_block` copies), applies the
 //! causal mask by binary search over the sorted key positions, the
 //! positional biases by O(1)/vectorized specializations, and runs heads in
@@ -116,15 +123,12 @@ impl Model {
     /// (`rows × kv_width`).
     pub fn qkv(&self, layer: usize, x: &Matrix, pos: &[usize]) -> (Matrix, Matrix, Matrix) {
         let (mut q, mut k, mut v) = (Matrix::default(), Matrix::default(), Matrix::default());
-        let mut fused = Matrix::default();
-        self.qkv_into(layer, x, pos, &mut q, &mut k, &mut v, &mut fused);
+        self.qkv_into(layer, x, pos, &mut q, &mut k, &mut v);
         (q, k, v)
     }
 
-    /// [`Model::qkv`] into caller-provided buffers (`fused` is the packed
-    /// projection staging area): one blocked matmul against
-    /// [`Layer::fused_qkv`], a split, and in-place RoPE.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Model::qkv`] into caller-provided buffers: [`Model::kv_into`]
+    /// and [`Model::q_into`] over the same rows.
     pub fn qkv_into(
         &self,
         layer: usize,
@@ -133,28 +137,40 @@ impl Model {
         q: &mut Matrix,
         k: &mut Matrix,
         v: &mut Matrix,
-        fused: &mut Matrix,
     ) {
+        self.kv_into(layer, x, pos, k, v);
+        self.q_into(layer, x, pos, q);
+    }
+
+    /// The queries of [`Model::qkv`] alone: one blocked matmul against
+    /// [`Layer::wq`] written into `q`, then in-place RoPE. GEMM rows are
+    /// independent, so a row's query has the same bits whichever other
+    /// rows are projected with it.
+    pub fn q_into(&self, layer: usize, x: &Matrix, pos: &[usize], q: &mut Matrix) {
         assert_eq!(x.rows(), pos.len(), "row/position count mismatch");
+        x.matmul_into(&self.layers[layer].wq, q);
+        self.rotate_heads(layer, pos, q);
+    }
+
+    /// The keys and values of [`Model::qkv`] alone: blocked matmuls
+    /// against [`Layer::wk`] and [`Layer::wv`] written into `k` and `v`,
+    /// then in-place RoPE of the keys.
+    pub fn kv_into(&self, layer: usize, x: &Matrix, pos: &[usize], k: &mut Matrix, v: &mut Matrix) {
+        assert_eq!(x.rows(), pos.len(), "row/position count mismatch");
+        let l = &self.layers[layer];
+        x.matmul_into(&l.wk, k);
+        x.matmul_into(&l.wv, v);
+        self.rotate_heads(layer, pos, k);
+    }
+
+    /// RoPE-rotates each rotary head's column block of row `r` of `m` at
+    /// position `pos[r]`.
+    fn rotate_heads(&self, layer: usize, pos: &[usize], m: &mut Matrix) {
         let hd = self.cfg.head_dim;
-        let width = self.cfg.kv_width();
-        let n = x.rows();
-        x.matmul_into(&self.layers[layer].fused_qkv, fused);
-        q.zero_resize(n, width);
-        k.zero_resize(n, width);
-        v.zero_resize(n, width);
-        for r in 0..n {
-            let src = fused.row(r);
-            q.row_mut(r).copy_from_slice(&src[..width]);
-            k.row_mut(r).copy_from_slice(&src[width..2 * width]);
-            v.row_mut(r).copy_from_slice(&src[2 * width..]);
-        }
         for (h, head) in self.layers[layer].heads.iter().enumerate() {
             if let Some(table) = &head.rope {
-                let (lo, hi) = (h * hd, (h + 1) * hd);
                 for (r, &p) in pos.iter().enumerate() {
-                    table.rotate(&mut q.row_mut(r)[lo..hi], p as f32);
-                    table.rotate(&mut k.row_mut(r)[lo..hi], p as f32);
+                    table.rotate_at(&mut m.row_mut(r)[h * hd..(h + 1) * hd], p);
                 }
             }
         }
@@ -405,7 +421,6 @@ impl Model {
                 &mut scratch.q,
                 &mut scratch.k,
                 &mut scratch.v,
-                &mut scratch.fused,
             );
             cache.layers[layer].append(&scratch.k, &scratch.v);
             let mut probs = trace.as_deref_mut().map(|_| Matrix::zeros(0, 0));
@@ -763,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_qkv_matches_reference_per_head_path() {
+    fn qkv_matches_reference_per_head_path() {
         // Compiled (program + noise heads, partial RoPE) and pure-noise
         // models across several shapes, against the seed per-head path.
         for model in [
@@ -779,8 +794,97 @@ mod tests {
                 let (qr, kr, vr) = model.qkv_reference(layer, &x, &pos);
                 for (a, b) in [(&q, &qr), (&k, &kr), (&vv, &vr)] {
                     let d = a.frobenius_distance(b);
-                    assert!(d < 1e-4, "layer {layer} fused QKV mismatch: {d}");
+                    assert!(d < 1e-4, "layer {layer} QKV mismatch: {d}");
                 }
+            }
+        }
+    }
+
+    /// Deterministic `rows × cols` values in `[-2, 2)` with `-0.0` at every
+    /// fifth element and all-zero rows 6..12 and 13, so the projections'
+    /// zero skips run on both operands.
+    fn seeded_with_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut a = Matrix::from_fn(rows, cols, |_, _| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            ((s % 2000) as f32 - 1000.0) / 500.0
+        });
+        for (n, v) in a.as_mut_slice().iter_mut().enumerate() {
+            if n % 5 == 0 {
+                *v = -0.0;
+            }
+        }
+        for r in (6..12).chain([13]).filter(|&r| r < rows) {
+            a.row_mut(r).fill(0.0);
+        }
+        a
+    }
+
+    #[test]
+    fn split_projections_match_the_fused_product_bit_for_bit() {
+        // The layer's `wq`/`wk`/`wv` products against the column blocks
+        // of one fused product over `[wq | wk | wv]`: each projection's own
+        // density probe and pool split must leave every bit as one product
+        // over all three does.
+        let models = [
+            Model::compiled(ModelConfig::standard(ModelProfile::Mistral7B, 11)),
+            Model::random(ModelConfig::standard(ModelProfile::Tiny, 5)),
+        ];
+        for (mi, model) in models.iter().enumerate() {
+            let (d, w) = (model.cfg.d_model(), model.cfg.kv_width());
+            for (l, layer) in model.layers.iter().enumerate() {
+                let mut fused = Matrix::zeros(d, 3 * w);
+                for (i, m) in [&layer.wq, &layer.wk, &layer.wv].into_iter().enumerate() {
+                    fused.set_col_block(i * w, m);
+                }
+                for rows in [1, 7, 779] {
+                    let x = seeded_with_zeros(rows, d, (rows + l) as u64);
+                    for threads in [1, 2] {
+                        pool::set_threads(threads);
+                        let want = x.matmul(&fused);
+                        for (i, m) in [&layer.wq, &layer.wk, &layer.wv].into_iter().enumerate() {
+                            let got = x.matmul(m);
+                            let block = want.col_block(i * w, (i + 1) * w);
+                            assert!(
+                                got.as_slice()
+                                    .iter()
+                                    .zip(block.as_slice())
+                                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "model {mi}, layer {l}, projection {i}, {rows} rows, \
+                                 {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        pool::set_threads(pool::default_threads());
+    }
+
+    #[test]
+    fn rope_table_rotation_matches_per_call_sin_cos_bit_for_bit() {
+        // Every rotary head of every evaluation profile, at every position
+        // through 4096 (past the angle table, where the per-call path
+        // takes over).
+        let mut tables = Vec::new();
+        for profile in ModelProfile::evaluation_profiles() {
+            let m = Model::compiled(ModelConfig::standard(profile, 11));
+            for layer in &m.layers {
+                tables.extend(layer.heads.iter().filter_map(|h| h.rope.clone()));
+            }
+        }
+        assert!(!tables.is_empty());
+        let v: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+        for table in &tables {
+            let n = 2 * table.pairs();
+            for p in 0..=4096 {
+                let (mut want, mut got) = (v[..n].to_vec(), v[..n].to_vec());
+                table.rotate(&mut want, p as f32);
+                table.rotate_at(&mut got, p);
+                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{table:?} at position {p}");
             }
         }
     }

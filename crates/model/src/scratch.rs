@@ -92,8 +92,6 @@ pub struct Scratch {
     /// Residual rows (`tokens × d_model`); holds the forward result after
     /// `forward_rows_with`.
     pub x: Matrix,
-    /// Fused QKV projection output (`tokens × 3·kv_width`).
-    pub fused: Matrix,
     /// Per-layer queries (`tokens × kv_width`).
     pub q: Matrix,
     /// Per-layer keys.
@@ -135,7 +133,6 @@ impl Scratch {
         max_keys: usize,
     ) {
         self.x.zero_resize(1, d_model);
-        self.fused.zero_resize(1, 3 * kv_width);
         self.q.zero_resize(1, kv_width);
         self.k.zero_resize(1, kv_width);
         self.v.zero_resize(1, kv_width);

@@ -240,17 +240,20 @@ pub struct Layer {
     pub heads: Vec<HeadWeights>,
     /// Feed-forward block.
     pub mlp: Mlp,
-    /// Every head's `wq`/`wk`/`wv` packed into one
-    /// `d_model × 3·kv_width` projection (columns `[Q | K | V]`, each
-    /// head-major), so the per-layer QKV projection is a single blocked
-    /// matmul instead of `3 × n_heads` small ones. Built once by
-    /// [`Layer::new`] from the per-head weights it mirrors.
-    pub fused_qkv: Matrix,
+    /// Every head's query projection side by side, `d_model × kv_width`
+    /// (head-major columns), so a layer's queries are one blocked matmul
+    /// instead of `n_heads` small ones. Built once by [`Layer::new`] from
+    /// the per-head weights it mirrors.
+    pub wq: Matrix,
+    /// Every head's key projection, laid out as [`Layer::wq`].
+    pub wk: Matrix,
+    /// Every head's value projection, laid out as [`Layer::wq`].
+    pub wv: Matrix,
 }
 
 impl Layer {
     /// Builds a layer, packing the per-head projections into
-    /// [`Layer::fused_qkv`].
+    /// [`Layer::wq`], [`Layer::wk`] and [`Layer::wv`].
     ///
     /// # Panics
     ///
@@ -260,24 +263,21 @@ impl Layer {
         let d = heads[0].wq.rows();
         let hd = heads[0].wq.cols();
         let width = heads.len() * hd;
-        let mut fused = Matrix::zeros(d, 3 * width);
-        for (h, head) in heads.iter().enumerate() {
-            assert_eq!((head.wq.rows(), head.wq.cols()), (d, hd));
-            assert_eq!((head.wk.rows(), head.wk.cols()), (d, hd));
-            assert_eq!((head.wv.rows(), head.wv.cols()), (d, hd));
-            for r in 0..d {
-                let row = fused.row_mut(r);
-                for c in 0..hd {
-                    row[h * hd + c] = head.wq[(r, c)];
-                    row[width + h * hd + c] = head.wk[(r, c)];
-                    row[2 * width + h * hd + c] = head.wv[(r, c)];
-                }
+        let pack = |w: fn(&HeadWeights) -> &Matrix| {
+            let mut out = Matrix::zeros(d, width);
+            for (h, head) in heads.iter().enumerate() {
+                assert_eq!((w(head).rows(), w(head).cols()), (d, hd));
+                out.set_col_block(h * hd, w(head));
             }
-        }
+            out
+        };
+        let (wq, wk, wv) = (pack(|h| &h.wq), pack(|h| &h.wk), pack(|h| &h.wv));
         Self {
             heads,
             mlp,
-            fused_qkv: fused,
+            wq,
+            wk,
+            wv,
         }
     }
 }

@@ -1353,18 +1353,43 @@ impl KeyPanels {
         self.pack_block(k, 0, k.cols);
     }
 
-    /// Lays out columns `lo..hi` of the rows of `k`.
+    /// Lays out columns `lo..hi` of the rows of `k`. Each panel is written
+    /// as the transpose of its 16 keys' `width`-wide block (`zmm` builds
+    /// transpose 16 × 16 sub-blocks in registers), and only the padding
+    /// keys of a final partial panel are zeroed: every element is
+    /// written, so a reused buffer is not cleared first.
     fn pack_block(&mut self, k: &Matrix, lo: usize, hi: usize) {
         assert!(lo <= hi && hi <= k.cols);
         self.keys = k.rows;
         self.width = hi - lo;
         let panel = self.width * SK;
-        self.data.clear();
         self.data.resize(k.rows.div_ceil(SK) * panel, 0.0);
-        for j in 0..k.rows {
-            let dst = &mut self.data[(j / SK) * panel..];
-            for (d, &v) in k.row(j)[lo..hi].iter().enumerate() {
-                dst[d * SK + j % SK] = v;
+        if panel == 0 {
+            return;
+        }
+        for (p, dst) in self.data.chunks_exact_mut(panel).enumerate() {
+            let n = SK.min(k.rows - p * SK);
+            let rows: [&[f32]; SK] = std::array::from_fn(|x| {
+                if x < n {
+                    &k.row(p * SK + x)[lo..hi]
+                } else {
+                    &[]
+                }
+            });
+            #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+            let done = if n == SK {
+                zmm::pack_panel(&rows, dst)
+            } else {
+                0
+            };
+            #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+            let done = 0;
+            for (d, col) in dst.chunks_exact_mut(SK).enumerate().skip(done) {
+                let (live, pad) = col.split_at_mut(n);
+                for (c, row) in live.iter_mut().zip(&rows) {
+                    *c = row[d];
+                }
+                pad.fill(0.0);
             }
         }
     }
@@ -1568,6 +1593,37 @@ mod zmm {
     ) -> usize {
         // SAFETY: an AVX-512F build (see above).
         unsafe { scores_row_dot(q, b, ldb, lo, lim, scale, out) }
+    }
+
+    /// See [`pack_panel_tiles`].
+    pub(super) fn pack_panel(rows: &[&[f32]; SK], dst: &mut [f32]) -> usize {
+        // SAFETY: an AVX-512F build (see above).
+        unsafe { pack_panel_tiles(rows, dst) }
+    }
+
+    /// The whole 16-dim blocks of one full [`super::KeyPanels`] panel:
+    /// dims `d..d + 16` of the 16 keys `rows` load as 16 `zmm` rows, and
+    /// their [`transpose16`] is dims `d..d + 16` of the panel (`dst` holds
+    /// the panel's `width` rows of 16). Returns the first dim left over.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn pack_panel_tiles(rows: &[&[f32]; SK], dst: &mut [f32]) -> usize {
+        let width = dst.len() / SK;
+        let mut d = 0;
+        while d + W <= width {
+            let block: [__m512; SK] = std::array::from_fn(|x| {
+                let src = &rows[x][d..d + W];
+                // SAFETY: `src` holds 16 floats, exactly one `zmm` load.
+                unsafe { _mm512_loadu_ps(src.as_ptr()) }
+            });
+            for (t, &v) in transpose16(block).iter().enumerate() {
+                let out = &mut dst[(d + t) * SK..][..SK];
+                // SAFETY: `out` holds 16 floats, exactly one `zmm` store.
+                unsafe { _mm512_storeu_ps(out.as_mut_ptr(), v) };
+            }
+            d += W;
+        }
+        d
     }
 
     /// [`super::gemm_row`]'s 64 columns at `j`: four `zmm` accumulators
@@ -2202,6 +2258,44 @@ mod tests {
                 &spec_matmul(&a, &b),
                 &format!("{n} cols, the spec"),
             );
+        }
+    }
+
+    #[test]
+    fn block_packed_key_panels_match_the_per_float_layout() {
+        // The per-float layout: key `j`, dim `d` at panel `j / 16`, row
+        // `d`, lane `j % 16`, and zero in the padding lanes.
+        fn per_float(k: &Matrix, lo: usize, hi: usize) -> Vec<u32> {
+            let width = hi - lo;
+            let mut data = vec![0.0f32; k.rows().div_ceil(SK) * width * SK];
+            for j in 0..k.rows() {
+                for d in 0..width {
+                    data[(j / SK) * width * SK + d * SK + j % SK] = k[(j, lo + d)];
+                }
+            }
+            data.iter().map(|v| v.to_bits()).collect()
+        }
+        // One buffer for every case, first filled with NaN from a larger
+        // pack: a reused buffer must be overwritten, padding included.
+        let mut panels = KeyPanels::default();
+        panels.pack(&Matrix::from_fn(800, 3 * 64, |_, _| f32::NAN));
+        for hd in [16, 40, 64] {
+            for keys in [773, 1, 15, 16, 17, 100, 129] {
+                let k = seeded_with_zeros(keys, 3 * hd, (keys * hd) as u64);
+                for (lo, hi) in [(0, 3 * hd), (hd, 2 * hd)] {
+                    panels.pack_block(&k, lo, hi);
+                    let got: Vec<u32> = panels.data.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        (panels.keys, panels.width),
+                        (keys, hi - lo),
+                        "hd {hd}, {keys} keys, dims {lo}..{hi}"
+                    );
+                    assert!(
+                        got == per_float(&k, lo, hi),
+                        "hd {hd}, {keys} keys, dims {lo}..{hi}"
+                    );
+                }
+            }
         }
     }
 

@@ -8,14 +8,78 @@
 //! rotating it by `Δ·θᵢ` — no recomputation required. [`rotate_rows_by`]
 //! implements that correction and `tests` verify Proposition A.1 (attention
 //! scores depend only on relative offsets).
+//!
+//! Rotating a projected row at its absolute position
+//! ([`RopeTable::rotate_at`]) reads its `(sin, cos)` pairs from an angle
+//! table instead of evaluating them per row and head: the table holds
+//! `(p as f32 · θᵢ).sin_cos()` for positions `p <` [`ANGLE_POSITIONS`],
+//! exactly the values [`RopeTable::rotate`] computes, so the rotated bits
+//! are the same. Tables with the same θs share one angle table for as
+//! long as any of them lives (a model's noise heads all use one θ set).
+
+use std::fmt;
+use std::sync::{Arc, Mutex, Weak};
 
 use crate::matrix::Matrix;
 
-/// Precomputed per-pair RoPE frequencies for a head dimension.
-#[derive(Clone, Debug)]
+/// Positions whose rotation angles a [`RopeTable`] holds precomputed;
+/// rows at later positions evaluate theirs per call. A table of `n`
+/// pairs takes `ANGLE_POSITIONS · n · 8` bytes (128 KiB for 8 pairs).
+pub const ANGLE_POSITIONS: usize = 2048;
+
+/// The `(sin, cos)` of one rotation angle.
+type SinCos = (f32, f32);
+
+/// The `(sin, cos)` of `p as f32 · θᵢ` at index `p · pairs + i`.
+type Angles = Arc<[SinCos]>;
+
+/// A live angle table, keyed by the bits of its θs.
+type Interned = (Vec<u32>, Weak<[SinCos]>);
+
+/// Every live angle table.
+static ANGLE_TABLES: Mutex<Vec<Interned>> = Mutex::new(Vec::new());
+
+/// The angle table of `thetas`: the live one if some table with these θs
+/// still holds it, else a new one.
+fn shared_angles(thetas: &[f32]) -> Angles {
+    let key: Vec<u32> = thetas.iter().map(|t| t.to_bits()).collect();
+    let mut tables = ANGLE_TABLES.lock().unwrap_or_else(|e| e.into_inner());
+    tables.retain(|(_, w)| w.strong_count() > 0);
+    if let Some(angles) = tables
+        .iter()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, w)| w.upgrade())
+    {
+        return angles;
+    }
+    let angles: Angles = (0..ANGLE_POSITIONS)
+        .flat_map(|p| {
+            thetas
+                .iter()
+                .map(move |&theta| (p as f32 * theta).sin_cos())
+        })
+        .collect();
+    tables.push((key, Arc::downgrade(&angles)));
+    angles
+}
+
+/// Precomputed per-pair RoPE frequencies for a head dimension, with the
+/// angle table of the positions below [`ANGLE_POSITIONS`].
+#[derive(Clone)]
 pub struct RopeTable {
     /// θᵢ for each dimension pair `i ∈ [0, dim/2)`.
     thetas: Vec<f32>,
+    /// `(p as f32 · θᵢ).sin_cos()` at index `p · pairs + i`.
+    angles: Angles,
+}
+
+impl fmt::Debug for RopeTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RopeTable")
+            .field("thetas", &self.thetas)
+            .field("angle_bytes", &self.angle_bytes())
+            .finish()
+    }
 }
 
 impl RopeTable {
@@ -35,7 +99,7 @@ impl RopeTable {
         let thetas = (0..half)
             .map(|i| base.powf(-2.0 * i as f32 / dim as f32))
             .collect();
-        Self { thetas }
+        Self::from_thetas(thetas)
     }
 
     /// Builds a table with explicit per-pair frequencies. Rotation then
@@ -44,7 +108,14 @@ impl RopeTable {
     /// compiled program uses this to give positional heads hand-picked
     /// kernels while content dimensions stay position-free.
     pub fn from_thetas(thetas: Vec<f32>) -> Self {
-        Self { thetas }
+        let angles = shared_angles(&thetas);
+        Self { thetas, angles }
+    }
+
+    /// Bytes of this table's angle table (shared with every table of the
+    /// same θs).
+    pub fn angle_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.angles)
     }
 
     /// Number of dimension pairs.
@@ -75,6 +146,24 @@ impl RopeTable {
             let b = v[2 * i + 1];
             v[2 * i] = a * cos - b * sin;
             v[2 * i + 1] = a * sin + b * cos;
+        }
+    }
+
+    /// [`RopeTable::rotate`] at the absolute position `pos`, with the
+    /// angles read from the table below [`ANGLE_POSITIONS`] (the same
+    /// bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() < 2 * self.pairs()`.
+    #[inline]
+    pub fn rotate_at(&self, v: &mut [f32], pos: usize) {
+        let n = self.thetas.len();
+        if pos < ANGLE_POSITIONS {
+            assert!(v.len() >= 2 * n, "vector shorter than rotated prefix");
+            self.rotate_planned(v, &self.angles[pos * n..(pos + 1) * n]);
+        } else {
+            self.rotate(v, pos as f32);
         }
     }
 }
@@ -208,6 +297,34 @@ mod tests {
         rotate_rows_by(&mut m, &t, -42);
         for (a, b) in m.row(0).iter().zip(orig.iter()) {
             assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn tables_of_equal_thetas_share_one_angle_table() {
+        let a = RopeTable::new(16, 10000.0);
+        let b = RopeTable::new(16, 10000.0);
+        let c = RopeTable::from_thetas(vec![0.5, 0.25]);
+        assert!(Arc::ptr_eq(&a.angles, &b.angles));
+        assert!(!Arc::ptr_eq(&a.angles, &c.angles));
+        assert_eq!(a.angle_bytes(), ANGLE_POSITIONS * 8 * 8);
+        assert_eq!(c.angle_bytes(), ANGLE_POSITIONS * 2 * 8);
+    }
+
+    #[test]
+    fn table_rotation_matches_rotate_bit_for_bit() {
+        // Below the table, at its edge and past it.
+        let t = RopeTable::from_thetas(vec![1.0, 0.3, 1e-3]);
+        let orig: Vec<f32> = vec![0.5, -0.4, 0.3, 0.9, -0.8, 0.2, 0.1];
+        for p in (0..8)
+            .chain(ANGLE_POSITIONS - 2..ANGLE_POSITIONS + 2)
+            .chain([99_999])
+        {
+            let (mut want, mut got) = (orig.clone(), orig.clone());
+            t.rotate(&mut want, p as f32);
+            t.rotate_at(&mut got, p);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "position {p}");
         }
     }
 

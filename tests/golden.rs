@@ -9,11 +9,16 @@
 //! own history, so a kernel rewrite that changes even one rounding anywhere
 //! in the stack fails here.
 //!
+//! `GOLDEN_VARIANTS` pins the same blend under every selection policy
+//! and with tracing on, so that a change to which rows the fusor
+//! computes (rather than how it computes them) is checked under all of
+//! them.
+//!
 //! A change that alters the arithmetic on purpose (a different accumulation
 //! order, a new approximation) updates the constants in the same commit and
 //! says in its message why the bits moved.
 
-use cacheblend::blend::fusor::{BlendConfig, Fusor};
+use cacheblend::blend::fusor::{BlendConfig, BlendResult, Fusor, Selection};
 use cacheblend::kv::precompute::precompute_chunk;
 use cacheblend::model::{KvCache, Model, ModelConfig, ModelProfile};
 use cacheblend::prelude::{EngineBuilder, EngineService, Request, Response, ServiceConfig};
@@ -44,6 +49,61 @@ const GOLDEN_DECODE: [(ModelProfile, u64); 2] = [
     (ModelProfile::Llama70B, 0xbe42_c665_83e8_a3fc),
 ];
 
+/// `(profile, hash of the blend under each of [`variant_configs`] in
+/// order)`: every selection policy and the traced blend, so a change to
+/// which rows the fusor computes is pinned under all of them, not only
+/// the default configuration.
+const GOLDEN_VARIANTS: [(ModelProfile, [u64; 6]); 2] = [
+    (
+        ModelProfile::Mistral7B,
+        [
+            0xf0d5_b38c_1179_a0ae,
+            0x5dae_63d9_6ec0_9b83,
+            0x9463_9cd5_6911_9f50,
+            0x7fb7_14a8_0f3c_2a2c,
+            0x6f4b_d222_a821_8244,
+            0x89c4_46dd_d001_9d99,
+        ],
+    ),
+    (
+        ModelProfile::Llama70B,
+        [
+            0xa978_1169_a2b0_1f5a,
+            0x3248_e241_453a_db20,
+            0xf527_aa0b_45d9_e10b,
+            0xdfb9_4d58_141f_8ceb,
+            0x490a_8d0c_26eb_97ad,
+            0xfe66_9caf_3ad0_7e9a,
+        ],
+    ),
+];
+
+/// The blend configurations [`GOLDEN_VARIANTS`] pins, with whether the
+/// blend is traced.
+fn variant_configs() -> [(BlendConfig, bool); 6] {
+    let hkvd = BlendConfig::with_ratio;
+    [
+        (hkvd(0.0), false),
+        (hkvd(0.5), false),
+        (hkvd(1.0), false),
+        (
+            BlendConfig {
+                selection: Selection::FirstLayerOnly,
+                ..hkvd(0.3)
+            },
+            false,
+        ),
+        (
+            BlendConfig {
+                selection: Selection::Random { seed: 3 },
+                ..hkvd(0.15)
+            },
+            false,
+        ),
+        (hkvd(0.15), true),
+    ]
+}
+
 /// The little-endian bits of every K and V element, layer by layer,
 /// followed by `rows`.
 fn kv_bytes(cache: &KvCache, rows: &[f32]) -> Vec<u8> {
@@ -60,6 +120,21 @@ fn kv_bytes(cache: &KvCache, rows: &[f32]) -> Vec<u8> {
 /// FNV-64 of [`kv_bytes`].
 fn hash(cache: &KvCache, rows: &[f32]) -> u64 {
     fnv64(&kv_bytes(cache, rows))
+}
+
+/// FNV-64 over a blend's [`kv_bytes`] (fused cache and last residual),
+/// its per-layer selected counts and, when traced, every layer's suffix
+/// attention matrix.
+fn blend_hash(blend: &BlendResult) -> u64 {
+    let mut bytes = kv_bytes(&blend.cache, &blend.last_residual);
+    for &n in &blend.stats.selected_per_layer {
+        bytes.extend((n as u64).to_le_bytes());
+    }
+    for m in blend.trace.iter().flat_map(|t| &t.attn) {
+        bytes.extend((m.rows() as u64).to_le_bytes());
+        bytes.extend(m.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+    }
+    fnv64(&bytes)
 }
 
 /// FNV-64 over a response's answer tokens (little-endian) followed by
@@ -100,6 +175,31 @@ fn blend_and_prefill_match_recorded_hashes() {
                 "{profile:?} at pool size {threads}: got {:#018x}, {:#018x}",
                 got.0,
                 got.1
+            );
+        }
+    }
+    pool::set_threads(pool::default_threads());
+}
+
+#[test]
+fn blend_variants_match_recorded_hashes() {
+    let ds = Dataset::standard(DatasetKind::MusiqueSim, 7);
+    let case = &ds.cases[0];
+    let ctx = ds.retrieve(case, 6);
+    for (profile, want) in GOLDEN_VARIANTS {
+        let model = Model::compiled(ModelConfig::standard(profile, 11));
+        for threads in [1, 2] {
+            pool::set_threads(threads);
+            let got = variant_configs().map(|(cfg, traced)| {
+                let parts = ctx
+                    .iter()
+                    .map(|&i| precompute_chunk(&model, &ds.chunks[i]))
+                    .collect();
+                blend_hash(&Fusor::new(&model, cfg).blend(parts, &case.query, traced))
+            });
+            assert_eq!(
+                got, want,
+                "{profile:?} at pool size {threads}: got {got:#018x?}"
             );
         }
     }
