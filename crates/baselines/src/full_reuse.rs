@@ -35,28 +35,12 @@ pub fn run_full_reuse(
     max_tokens: usize,
     rotate: bool,
 ) -> FullReuseOutcome {
-    let bos = cb_kv::precompute::bos_cache(model);
-    let mut segments = vec![bos];
-    let mut cursor = 1usize;
-    for mut p in parts {
-        assert!(!p.is_empty(), "empty chunk cache");
-        if rotate {
-            rope_align::relocate(model, &mut p, cursor);
-        } else {
-            // Naive reuse: claim the positions without rotating the keys.
-            let delta = cursor as i64 - p.positions[0] as i64;
-            for pos in &mut p.positions {
-                *pos = (*pos as i64 + delta) as usize;
-            }
-        }
-        cursor += p.len();
-        segments.push(p);
-    }
-    let refs: Vec<&KvCache> = segments.iter().collect();
-    let mut cache = KvCache::concat(&refs);
+    let mut cache = reused_context(model, parts, rotate);
     let loaded_tokens = cache.len();
+    // Room for the query and the answer, so neither moves the cache.
+    cache.reserve(query.len() + max_tokens);
 
-    let suffix_pos: Vec<usize> = (cursor..cursor + query.len()).collect();
+    let suffix_pos: Vec<usize> = (loaded_tokens..loaded_tokens + query.len()).collect();
     let x = model.forward_rows(query, &suffix_pos, &mut cache, None);
     let last = x.row(x.rows() - 1).to_vec();
     let answer = model.decode_greedy(&mut cache, &last, max_tokens);
@@ -65,6 +49,29 @@ pub fn run_full_reuse(
         loaded_tokens,
         prefilled_tokens: query.len(),
     }
+}
+
+/// The reused context cache — the `KV^pre` of Table 1: the BOS sink's
+/// cache, then every part moved behind the one before and concatenated,
+/// nothing recomputed. `rotate` re-rotates each part's keys to its new
+/// positions; without it a part only claims them.
+pub fn reused_context(model: &Model, mut parts: Vec<KvCache>, rotate: bool) -> KvCache {
+    let mut cursor = 1usize;
+    for p in &mut parts {
+        assert!(!p.is_empty(), "empty chunk cache");
+        if rotate {
+            rope_align::relocate(model, p, cursor);
+        } else {
+            // Naive reuse: claim the positions without rotating the keys.
+            let delta = cursor as i64 - p.positions[0] as i64;
+            for pos in &mut p.positions {
+                *pos = (*pos as i64 + delta) as usize;
+            }
+        }
+        cursor += p.len();
+    }
+    let refs: Vec<&KvCache> = std::iter::once(model.bos_cache()).chain(&parts).collect();
+    KvCache::concat(&refs)
 }
 
 #[cfg(test)]

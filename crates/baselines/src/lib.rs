@@ -18,7 +18,7 @@ pub mod prefix_caching;
 pub mod rag_methods;
 
 pub use full_recompute::run_full_recompute;
-pub use full_reuse::run_full_reuse;
+pub use full_reuse::{reused_context, run_full_reuse};
 pub use prefix_caching::PrefixCachingEngine;
 pub use rag_methods::{run_map_reduce, run_map_rerank};
 

@@ -103,8 +103,10 @@ impl PrefixCachingEngine {
         };
         debug_assert_eq!(cache.len(), hit_tokens);
 
-        // Prefill the remainder behind the cached prefix.
+        // Prefill the remainder behind the cached prefix, with room for it
+        // and the answer so neither moves the cache.
         let rest = &tokens[hit_tokens..];
+        cache.reserve(rest.len() + max_tokens);
         let positions: Vec<usize> = (hit_tokens..tokens.len()).collect();
         let x = model.forward_rows(rest, &positions, &mut cache, None);
         let last = x.row(x.rows() - 1).to_vec();

@@ -2,10 +2,9 @@
 //! (paper-scale delay model) per scheme.
 
 use cb_baselines::{
-    run_full_recompute, run_full_reuse, run_map_reduce, run_map_rerank, SchemeKind,
+    reused_context, run_full_recompute, run_full_reuse, run_map_reduce, run_map_rerank, SchemeKind,
 };
 use cb_core::engine::{Engine, EngineBuilder, Request};
-use cb_core::fusor::{BlendConfig, Fusor, Selection};
 use cb_model::{KvCache, Model, ModelConfig, ModelProfile};
 use cb_rag::datasets::{Dataset, QueryCase};
 use cb_storage::device::DeviceKind;
@@ -139,24 +138,6 @@ impl QualityEval {
         }
     }
 
-    /// Runs CacheBlend with random token selection (the HKVD ablation).
-    pub fn answer_random_selection(
-        &mut self,
-        ds: &Dataset,
-        case: &QueryCase,
-        ctx: &[usize],
-        ratio: f32,
-        seed: u64,
-    ) -> Vec<u32> {
-        let parts: Vec<KvCache> = ctx.iter().map(|&i| self.chunk_cache(ds, i)).collect();
-        let cfg = BlendConfig {
-            recompute_ratio: ratio,
-            gamma: 0.3,
-            selection: Selection::Random { seed },
-        };
-        Fusor::new(self.model(), cfg).answer(parts, &case.query, MAX_ANSWER_TOKENS)
-    }
-
     /// Mean quality of a scheme over up to `cap` cases with top-`k`
     /// retrieval.
     pub fn eval(
@@ -194,17 +175,8 @@ pub fn reused_context_cache(
     ds: &Dataset,
     ctx: &[usize],
 ) -> KvCache {
-    let bos = cb_kv::precompute::bos_cache(model);
-    let mut segments = vec![bos];
-    let mut cursor = 1usize;
-    for &i in ctx {
-        let mut p = ev.chunk_cache(ds, i);
-        cb_core::rope_align::relocate(model, &mut p, cursor);
-        cursor += p.len();
-        segments.push(p);
-    }
-    let refs: Vec<&KvCache> = segments.iter().collect();
-    KvCache::concat(&refs)
+    let parts = ctx.iter().map(|&i| ev.chunk_cache(ds, i)).collect();
+    reused_context(model, parts, true)
 }
 
 /// Paper-scale TTFT of a scheme on a `k × chunk_tokens` context (Figure 12

@@ -743,7 +743,6 @@ impl EngineBuilder {
                 // One request's layers until a service says how many can
                 // be in flight (`EngineService::new`).
                 layers: LayerPool::new(model.n_layers()),
-                bos: cb_kv::precompute::bos_cache(&model),
                 model,
                 store,
                 tier_devices,
@@ -781,9 +780,6 @@ struct EngineCore {
     /// Free list of fused-cache layers: blends take from it,
     /// [`Engine::recycle`] gives back.
     layers: LayerPool,
-    /// The BOS sink's one-row cache every blend starts with, computed
-    /// once for the engine's model.
-    bos: KvCache,
 }
 
 impl Engine {
@@ -1008,7 +1004,7 @@ impl EngineCore {
             parts,
             &request.query,
             throttle,
-            &self.bos,
+            false,
             &self.layers,
             request.max_new_tokens,
         )?;

@@ -3,7 +3,12 @@
 //! Implements §4 of the paper end to end:
 //!
 //! 1. Relocate each chunk's precomputed cache to its position in this
-//!    request (Appendix A re-rotation, [`crate::rope_align`]).
+//!    request (Appendix A re-rotation, [`crate::rope_align`]) behind the
+//!    BOS sink ([`Model::bos_cache`]). The pipelined loader
+//!    ([`crate::pipeline`]) does this a layer at a time and is the one
+//!    path into the layer loop below: [`Fusor::blend`] encodes its
+//!    in-RAM parts as store entries and blends them through it, exactly
+//!    as the engine does with a chunk it has just precomputed.
 //! 2. Recompute **layer 0 in full** — cheap (1/n of prefill) and it gives
 //!    every token a context-correct layer-0 state to measure against
 //!    (Figure 9: "recompute all tokens on Layer 1").
@@ -34,8 +39,9 @@
 //! per-layer attention can be traced for the Δattn metric.
 
 use std::cell::RefCell;
-use std::convert::Infallible;
 
+use cb_kv::prefetch::PrefetchHandle;
+use cb_kv::serialize::encode;
 use cb_model::model::ForwardTrace;
 use cb_model::{KvCache, LayerKv, Model, Scratch};
 use cb_tensor::ops::top_k_indices;
@@ -45,7 +51,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::deviation::row_deviation;
-use crate::rope_align;
+use crate::pipeline::{blend_prefetched_pooled, LayerPool};
 
 /// Buffers for the fusor's per-layer HKVD recompute → select → scatter
 /// loop: the per-layer QKV projections, deviation scores, the shrinking
@@ -259,49 +265,46 @@ impl<'m> Fusor<'m> {
     }
 
     /// Fuses per-chunk caches (at their local positions) and a suffix into
-    /// one request cache: relocates every chunk behind a BOS sink, then
-    /// runs selective recompute.
+    /// one request cache: encodes every part as an in-RAM store entry and
+    /// blends them through the pipelined loader, which relocates every
+    /// chunk behind the BOS sink — what the engine does with a chunk it
+    /// has just precomputed.
     pub fn blend(&self, parts: Vec<KvCache>, suffix: &[TokenId], want_trace: bool) -> BlendResult {
-        let bos = cb_kv::precompute::bos_cache(self.model);
-        let mut segments = vec![bos];
-        let mut cursor = 1usize;
-        for mut p in parts {
-            assert!(!p.is_empty(), "cannot blend an empty chunk cache");
-            rope_align::relocate(self.model, &mut p, cursor);
-            cursor += p.len();
-            segments.push(p);
-        }
-        let refs: Vec<&KvCache> = segments.iter().collect();
-        let ctx = KvCache::concat(&refs);
-        self.blend_cache(ctx, suffix, want_trace)
+        self.blend_reserving(parts, suffix, want_trace, 0)
     }
 
-    /// Runs selective recompute over an already-assembled context cache
-    /// (positions must be `0..len`) and a fresh suffix.
-    pub fn blend_cache(&self, ctx: KvCache, suffix: &[TokenId], want_trace: bool) -> BlendResult {
-        assert_eq!(
-            ctx.positions,
-            (0..ctx.len()).collect::<Vec<_>>(),
-            "context cache must sit at positions 0..len"
-        );
-        let KvCache {
-            mut layers,
-            positions,
-            tokens,
-        } = ctx;
-        let Ok(result) = self.try_blend_streamed::<Infallible>(
-            &positions,
-            &tokens,
-            |l| Ok(std::mem::replace(&mut layers[l], LayerKv::empty(0))),
+    /// [`Fusor::blend`] into fused layers with room for `decode_rows`
+    /// more rows.
+    fn blend_reserving(
+        &self,
+        parts: Vec<KvCache>,
+        suffix: &[TokenId],
+        want_trace: bool,
+        decode_rows: usize,
+    ) -> BlendResult {
+        let handles = (parts.iter())
+            .map(|p| {
+                assert!(!p.is_empty(), "cannot blend an empty chunk cache");
+                PrefetchHandle::from_bytes(encode(p), 0).expect("a fresh encoding decodes")
+            })
+            .collect();
+        let pool = LayerPool::new(0);
+        let out = blend_prefetched_pooled(
+            self.model,
+            self.cfg,
+            handles,
             suffix,
+            None,
             want_trace,
+            &pool,
+            decode_rows,
         );
-        result
+        out.expect("in-RAM entries load without error").result
     }
 
     /// Runs selective recompute with context layers pulled one at a time
-    /// from `next_layer` — the streaming entry point used by the pipelined
-    /// loader (`next_layer(l)` is the §6 `synchronize()` point: it blocks
+    /// from `next_layer` — the layer loop the pipelined loader drives
+    /// (`next_layer(l)` is the §6 `synchronize()` point: it blocks
     /// until layer `l` has been fetched into memory). The layer source is
     /// *fallible*: the storage-backed loader can fail mid-stream (a disk
     /// read error or a layer block failing its checksum), and the error
@@ -311,7 +314,7 @@ impl<'m> Fusor<'m> {
     /// The suffix rows are appended to the layers `next_layer` returns,
     /// which become the fused cache: layers with spare capacity for them
     /// are not reallocated.
-    pub fn try_blend_streamed<E>(
+    pub(crate) fn try_blend_streamed<E>(
         &self,
         ctx_positions: &[usize],
         ctx_tokens: &[TokenId],
@@ -515,7 +518,7 @@ impl<'m> Fusor<'m> {
         suffix: &[TokenId],
         max_tokens: usize,
     ) -> Vec<TokenId> {
-        let mut out = self.blend(parts, suffix, false);
+        let mut out = self.blend_reserving(parts, suffix, false, max_tokens);
         self.model
             .decode_greedy(&mut out.cache, &out.last_residual, max_tokens)
     }

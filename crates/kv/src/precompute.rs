@@ -50,14 +50,6 @@ pub fn strip_rows(cache: &KvCache, n: usize) -> KvCache {
     out
 }
 
-/// Computes the BOS-only cache (one row at position 0). Every fused request
-/// starts with this segment so the lookup heads' sink exists at position 0.
-pub fn bos_cache(model: &Model) -> KvCache {
-    let bos = model.cfg.vocab.id(TokenKind::Bos);
-    let (cache, _) = model.prefill(&[bos]);
-    cache
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +83,6 @@ mod tests {
             let d = c.layers[l].k.frobenius_distance(&want);
             assert!(d < 1e-5, "layer {l} K mismatch after strip: {d}");
         }
-    }
-
-    #[test]
-    fn bos_cache_is_single_row_at_zero() {
-        let m = model();
-        let c = bos_cache(&m);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.positions, vec![0]);
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! `forward_rows_reference`) are compiled only into this crate's tests,
 //! where they are the parity oracle for the blocked path.
 
+use std::sync::OnceLock;
+
 use cb_tensor::matrix::SCORE_TILE_MIN_ROWS;
 use cb_tensor::ops;
 use cb_tensor::pool;
@@ -78,6 +80,8 @@ pub struct Model {
     pub unembed: Matrix,
     /// Transformer layers.
     pub layers: Vec<Layer>,
+    /// The BOS sink's cache, computed on first use ([`Model::bos_cache`]).
+    pub(crate) bos: OnceLock<KvCache>,
 }
 
 impl Model {
@@ -96,6 +100,14 @@ impl Model {
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.layers.len()
+    }
+
+    /// The cache of the BOS sink alone: one row at position 0, which every
+    /// fused request starts with so the lookup heads' sink exists at
+    /// position 0. `prefill(&[BOS])`, computed once per model.
+    pub fn bos_cache(&self) -> &KvCache {
+        self.bos
+            .get_or_init(|| self.prefill(&[self.cfg.vocab.id(TokenKind::Bos)]).0)
     }
 
     /// Creates an empty KV cache shaped for this model.
@@ -747,6 +759,31 @@ mod tests {
             assert_eq!(l.len(), 2);
         }
         assert_eq!(x.rows(), 2);
+    }
+
+    #[test]
+    fn bos_cache_is_single_row_at_zero() {
+        let m = tiny();
+        let c = m.bos_cache();
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.positions, vec![0]);
+        assert_eq!(c.tokens, vec![m.cfg.vocab.id(TokenKind::Bos)]);
+    }
+
+    #[test]
+    fn bos_cache_is_computed_once_as_the_bos_prefill() {
+        let m = tiny();
+        assert!(std::ptr::eq(m.bos_cache(), m.bos_cache()));
+        let (want, _) = m.prefill(&[m.cfg.vocab.id(TokenKind::Bos)]);
+        let bits = |c: &KvCache| -> Vec<u32> {
+            (c.layers.iter())
+                .flat_map(|l| [&l.k, &l.v])
+                .flat_map(|mat| mat.as_slice())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(m.bos_cache().n_layers(), m.n_layers());
+        assert_eq!(bits(m.bos_cache()), bits(&want));
     }
 
     #[test]

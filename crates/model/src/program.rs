@@ -349,6 +349,7 @@ pub fn compile(cfg: ModelConfig) -> Model {
         embed,
         unembed,
         layers,
+        bos: Default::default(),
     }
 }
 
@@ -379,6 +380,7 @@ pub(crate) fn compile_noise_only(cfg: ModelConfig) -> Model {
         embed,
         unembed,
         layers,
+        bos: Default::default(),
     }
 }
 

@@ -176,24 +176,28 @@ fn summarization_chains_degrade_gracefully() {
 fn blending_from_quantized_caches_preserves_answers() {
     // §8: KV compression is complementary — int8-stored caches quarter
     // the load bytes, and the program's decision margins absorb the
-    // quantization noise. (This path stays on the hand-wired fusor: the
-    // engine's store holds exact entries.) The blend output itself stays
-    // close too: no element of the final residual moves by half the exact
-    // residual's max-abs.
-    use cacheblend::kv::quantize::{decode_quantized, encode_quantized};
+    // quantization noise. The int8 entries stream through the loader a
+    // layer at a time, as a cold-tier hit does. The blend output itself
+    // stays close too: no element of the final residual moves by half the
+    // exact residual's max-abs.
+    use cacheblend::blend::pipeline::blend_prefetched;
+    use cacheblend::kv::quantize::encode_quantized;
+    use cacheblend::kv::PrefetchHandle;
     let m = model();
     let ds = Dataset::standard(DatasetKind::MusiqueSim, 7);
-    let fusor = Fusor::new(&m, BlendConfig::with_ratio(0.3));
+    let cfg = BlendConfig::with_ratio(0.3);
+    let fusor = Fusor::new(&m, cfg);
     let mut agree = 0;
     let n = 8;
     for case in ds.cases.iter().take(n) {
         let ctx = ds.retrieve(case, 6);
         let mut exact = fusor.blend(parts_for(&m, &ds, &ctx), &case.query, false);
-        let quantized: Vec<KvCache> = parts_for(&m, &ds, &ctx)
-            .iter()
-            .map(|c| decode_quantized(encode_quantized(c)).unwrap())
+        let handles = (parts_for(&m, &ds, &ctx).iter())
+            .map(|c| PrefetchHandle::from_bytes(encode_quantized(c), 0).unwrap())
             .collect();
-        let mut cold = fusor.blend(quantized, &case.query, false);
+        let mut cold = blend_prefetched(&m, cfg, handles, &case.query, None)
+            .unwrap()
+            .result;
         let scale = (exact.last_residual.iter()).fold(0.0f32, |a, &v| a.max(v.abs()));
         let worst = (exact.last_residual.iter())
             .zip(&cold.last_residual)

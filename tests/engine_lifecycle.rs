@@ -1,7 +1,7 @@
 //! The engine request lifecycle, end to end: registration misses trigger
 //! precompute into the tiered store, repeat requests hit, and the blend the
-//! engine serves is statistically identical to a hand-wired `Fusor` run on
-//! the same seed.
+//! engine serves is bit-identical to a hand-wired `Fusor` run on the same
+//! seed.
 
 use cacheblend::blend::engine::{ChunkSource, EngineBuilder, Request};
 use cacheblend::blend::fusor::{BlendConfig, Fusor};
@@ -9,7 +9,6 @@ use cacheblend::kv::precompute::precompute_chunk;
 use cacheblend::model::{Model, ModelConfig, ModelProfile};
 use cacheblend::prelude::DeviceKind;
 use cacheblend::rag::datasets::{Dataset, DatasetKind};
-use cacheblend::tensor::stats::l2_distance;
 
 const SEED: u64 = 11;
 const RATIO: f32 = 0.3;
@@ -49,7 +48,7 @@ fn lifecycle_miss_precompute_hit_blend() {
     assert_eq!(engine.store().stats().inserts, after_register.inserts);
 
     // Parity with a hand-wired fusor over the same chunk caches: identical
-    // per-layer recompute counts, matching residual and answer.
+    // per-layer recompute counts, residual, K/V and answer.
     let model = Model::compiled(ModelConfig::standard(ModelProfile::Mistral7B, SEED));
     let parts: Vec<_> = ctx
         .iter()
@@ -63,22 +62,28 @@ fn lifecycle_miss_precompute_hit_blend() {
         "engine and hand-wired fusor recomputed different token counts"
     );
     assert_eq!(resp.blend.stats.ctx_len, hand.stats.ctx_len);
-    let d = l2_distance(&resp.blend.last_residual, &hand.last_residual);
-    assert!(d < 1e-4, "final residual diverged: {d}");
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&resp.blend.last_residual) == bits(&hand.last_residual),
+        "final residual differs"
+    );
     // The response cache carries the decoded answer's appended rows; the
-    // context+suffix prefix must match the hand-wired blend exactly.
+    // context+suffix prefix must match the hand-wired blend bit for bit.
     for l in 0..model.n_layers() {
-        let rows = hand.cache.layers[l].k.rows();
+        let (got, want) = (&resp.blend.cache.layers[l], &hand.cache.layers[l]);
+        let rows = want.k.rows();
         assert_eq!(
-            resp.blend.cache.layers[l].k.rows(),
+            got.k.rows(),
             rows + resp.answer.len(),
             "layer {l}: engine cache should extend the blend by the answer"
         );
-        let dk = resp.blend.cache.layers[l]
-            .k
-            .slice_rows(0, rows)
-            .frobenius_distance(&hand.cache.layers[l].k);
-        assert!(dk < 1e-4, "layer {l} K diverged: {dk}");
+        for (g, w) in [(&got.k, &want.k), (&got.v, &want.v)] {
+            let n = w.as_slice().len();
+            assert!(
+                bits(&g.as_slice()[..n]) == bits(w.as_slice()),
+                "layer {l}: K or V differs"
+            );
+        }
     }
     let mut hand_cache = hand.cache;
     let hand_answer = model.decode_greedy(&mut hand_cache, &hand.last_residual, 8);
