@@ -6,12 +6,13 @@
 //!    request (Appendix A re-rotation, [`crate::rope_align`]) behind the
 //!    BOS sink ([`Model::bos_cache`]). The pipelined loader
 //!    ([`crate::pipeline`]) does this a layer at a time and is the one
-//!    path into the layer loop below: [`Fusor::blend`] encodes its
-//!    in-RAM parts as store entries and blends them through it, exactly
-//!    as the engine does with a chunk it has just precomputed.
+//!    path into the layer loop below: [`Fusor::blend`] hands it its
+//!    in-RAM parts as decoded handles, the engine its store handles.
 //! 2. Recompute **layer 0 in full** — cheap (1/n of prefill) and it gives
 //!    every token a context-correct layer-0 state to measure against
-//!    (Figure 9: "recompute all tokens on Layer 1").
+//!    (Figure 9: "recompute all tokens on Layer 1"). Since every loaded
+//!    row would be overwritten, the loader fetches nothing for layer 0:
+//!    it arrives empty and takes the fresh rows.
 //! 3. On each later layer, compute fresh K/V for the surviving candidate
 //!    tokens, rank them by KV deviation against the loaded cache, keep the
 //!    top `r_l` fraction (the HKVD tokens), overwrite only their cache
@@ -41,7 +42,6 @@
 use std::cell::RefCell;
 
 use cb_kv::prefetch::PrefetchHandle;
-use cb_kv::serialize::encode;
 use cb_model::model::ForwardTrace;
 use cb_model::{KvCache, LayerKv, Model, Scratch};
 use cb_tensor::ops::top_k_indices;
@@ -265,10 +265,9 @@ impl<'m> Fusor<'m> {
     }
 
     /// Fuses per-chunk caches (at their local positions) and a suffix into
-    /// one request cache: encodes every part as an in-RAM store entry and
-    /// blends them through the pipelined loader, which relocates every
-    /// chunk behind the BOS sink — what the engine does with a chunk it
-    /// has just precomputed.
+    /// one request cache through the pipelined loader, which relocates
+    /// every chunk behind the BOS sink — the engine's path, minus the
+    /// codec.
     pub fn blend(&self, parts: Vec<KvCache>, suffix: &[TokenId], want_trace: bool) -> BlendResult {
         self.blend_reserving(parts, suffix, want_trace, 0)
     }
@@ -282,10 +281,10 @@ impl<'m> Fusor<'m> {
         want_trace: bool,
         decode_rows: usize,
     ) -> BlendResult {
-        let handles = (parts.iter())
+        let handles = (parts.into_iter())
             .map(|p| {
                 assert!(!p.is_empty(), "cannot blend an empty chunk cache");
-                PrefetchHandle::from_bytes(encode(p), 0).expect("a fresh encoding decodes")
+                PrefetchHandle::from_cache(p)
             })
             .collect();
         let pool = LayerPool::new(0);
@@ -311,9 +310,11 @@ impl<'m> Fusor<'m> {
     /// must abort the blend cleanly instead of handing poisoned KV to the
     /// decoder.
     ///
-    /// The suffix rows are appended to the layers `next_layer` returns,
-    /// which become the fused cache: layers with spare capacity for them
-    /// are not reallocated.
+    /// `next_layer(0)` returns an empty layer (every context row is
+    /// recomputed there); later layers hold every context row. The fresh
+    /// rows are appended to the layers `next_layer` returns, which become
+    /// the fused cache: layers with spare capacity for them are not
+    /// reallocated.
     pub(crate) fn try_blend_streamed<E>(
         &self,
         ctx_positions: &[usize],
@@ -379,7 +380,8 @@ impl<'m> Fusor<'m> {
         for layer in 0..n_layers {
             // §6 synchronize(): block until this layer's KV is in memory.
             let mut lkv = next_layer(layer)?;
-            assert_eq!(lkv.len(), ctx_len, "layer {layer} has wrong row count");
+            let loaded = if layer == 0 { 0 } else { ctx_len };
+            assert_eq!(lkv.len(), loaded, "layer {layer} has wrong row count");
             model.kv_into(layer, &sc.x, &sc.x_pos, &mut sc.fwd.k, &mut sc.fwd.v);
             let (k, v) = (&sc.fwd.k, &sc.fwd.v);
             let nc = sc.x.rows() - s; // candidate context rows in x
@@ -433,13 +435,19 @@ impl<'m> Fusor<'m> {
             }
 
             // Overwrite the selected tokens' KV with fresh values; append
-            // the suffix KV (computed fresh every layer).
-            for &i in &sc.keep {
-                let r = sc.row_ids[i];
-                lkv.k.set_row(r, k.row(i));
-                lkv.v.set_row(r, v.row(i));
+            // the suffix KV (computed fresh every layer). Layer 0 keeps
+            // every row and `row_ids` is the identity, so all of its fresh
+            // rows are appended to the empty layer.
+            if layer == 0 {
+                lkv.append_rows(k, v, 0, nc + s);
+            } else {
+                for &i in &sc.keep {
+                    let r = sc.row_ids[i];
+                    lkv.k.set_row(r, k.row(i));
+                    lkv.v.set_row(r, v.row(i));
+                }
+                lkv.append_rows(k, v, nc, nc + s);
             }
-            lkv.append_rows(k, v, nc, nc + s);
 
             // The rows that attend: the kept rows and the suffix. On the
             // last layer only the suffix: the kept rows' output there

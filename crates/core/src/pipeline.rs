@@ -4,12 +4,15 @@
 //! loop. Every blend enters here: the engine with store handles,
 //! [`blend_prefetched`] with caller handles, and
 //! [`Fusor::blend`](crate::fusor::Fusor::blend) with in-RAM chunk caches
-//! it encodes into RAM handles first.
+//! it wraps in decoded handles ([`PrefetchHandle::from_cache`]).
 //!
 //! A loader thread streams one fused context layer at a time — the BOS
 //! sink's layer ([`Model::bos_cache`]), then each chunk's serialized entry
 //! decoded (`cb-kv::serialize::EntryReader`), re-rotated to its place
-//! (Appendix A) and appended — through a bounded channel. The fusor
+//! (Appendix A) and appended — through a bounded channel. Layer 0 is the
+//! exception: the fusor recomputes every context row there, so the loader
+//! sends it empty and fetches nothing for it (a streamed handle still
+//! verifies the block it reads past). The fusor
 //! consumes layers in order; its per-layer `synchronize()` is simply the
 //! channel `recv`. Because HKVD selection for layer `i` needs only layer
 //! `i`'s loaded KV, loading layer `i+1` proceeds while layer `i` is
@@ -228,17 +231,25 @@ pub(crate) fn blend_prefetched_pooled(
             // BOS layer KV is shared by reference.
             let mut chunk_buf = LayerKv::empty(width);
             'layers: for layer in 0..n_layers {
+                // Layer 0 goes out empty: the fusor recomputes every row.
                 let mut merged = pool.take(width, fused_rows);
-                merged.append(&bos.layers[layer].k, &bos.layers[layer].v);
+                if layer > 0 {
+                    merged.append(&bos.layers[layer].k, &bos.layers[layer].v);
+                }
                 for (h, &delta) in handles.iter_mut().zip(&deltas) {
                     // §6 per-layer fetch: blocks only if the device has
                     // not delivered this layer's block yet.
-                    if let Err(e) = h.layer_into(layer, &mut chunk_buf) {
+                    let fetched = match layer {
+                        0 => h.skip_layer(0),
+                        _ => h.layer_into(layer, &mut chunk_buf).map(|()| {
+                            rope_align::relocate_layer(model, layer, &mut chunk_buf, delta);
+                            merged.append(&chunk_buf.k, &chunk_buf.v);
+                        }),
+                    };
+                    if let Err(e) = fetched {
                         let _ = tx.send(Err(e));
                         break 'layers;
                     }
-                    rope_align::relocate_layer(model, layer, &mut chunk_buf, delta);
-                    merged.append(&chunk_buf.k, &chunk_buf.v);
                 }
                 if let Some(d) = extra_throttle {
                     std::thread::sleep(d);
@@ -496,6 +507,33 @@ mod tests {
         let mut out = disk.result;
         let ans = m.decode_greedy(&mut out.cache, &out.last_residual, 4);
         assert_eq!(ans, vec![gold]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_layer0_block_on_disk_fails_the_blend_and_is_evicted() {
+        // The loader reads past layer 0 without decoding it, but a
+        // streamed handle still verifies the block: a flipped byte there
+        // must abort the blend and evict the entry, not get promoted.
+        let m = model();
+        let (chunks, q, _) = scenario(&m);
+        let bytes = serialize_chunks(&m, &chunks);
+        let dir = test_dir("layer0");
+        let store = disk_store(&dir, None);
+        let ids: Vec<cb_kv::ChunkId> = (1..=bytes.len() as u64).map(cb_kv::ChunkId).collect();
+        for (&id, b) in ids.iter().zip(&bytes) {
+            store.insert_bytes(id, b.clone()).unwrap();
+        }
+        store.flush().unwrap();
+        let rows = cb_kv::serialize::parse_header(&bytes[1]).unwrap().rows;
+        assert!(store.corrupt(ids[1], cb_kv::serialize::header_len(rows) + 5));
+        let handles = (ids.iter())
+            .map(|&id| store.prefetch(id).unwrap().unwrap())
+            .collect();
+        let err = blend_prefetched(&m, BlendConfig::default(), handles, &q, None).unwrap_err();
+        assert_eq!(err, StoreError::Corrupt(DecodeError::Corrupted));
+        assert!(!store.contains(ids[1]), "the corrupt entry is evicted");
+        assert!(store.contains(ids[0]), "its healthy sibling stays");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

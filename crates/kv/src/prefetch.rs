@@ -5,7 +5,9 @@
 //!
 //! - A RAM-tier hit wraps the in-memory bytes in an
 //!   [`EntryReader`](crate::serialize::EntryReader) — layers decode on
-//!   demand, nothing to overlap.
+//!   demand, nothing to overlap. [`PrefetchHandle::from_bytes`] does the
+//!   same for caller-held bytes, and [`PrefetchHandle::from_cache`] hands
+//!   out the layers of an already-decoded cache.
 //! - A persistent-tier hit spawns a reader thread that streams the entry
 //!   off the backend one layer block at a time through a bounded channel
 //!   (capacity 2). The device read of layer `i+1` proceeds while the
@@ -19,7 +21,7 @@
 //! cannot delete the segment mid-read.
 
 use bytes::{Bytes, BytesMut};
-use cb_model::LayerKv;
+use cb_model::{KvCache, LayerKv};
 use cb_storage::backend::ReadStream;
 use crossbeam::channel::{bounded, Receiver};
 
@@ -34,6 +36,11 @@ use bytes::BufMut;
 enum State {
     /// In-memory entry: random-access layer decode.
     Ram(crate::serialize::EntryReader),
+    /// A decoded cache: layers are copied out, nothing to verify.
+    Decoded {
+        layers: Vec<LayerKv>,
+        meta: EntryMeta,
+    },
     /// Streaming read off a persistent tier. The record streams in its
     /// *stored* format: a quantized cold-tier entry arrives as int8
     /// blocks that dequantize per layer on decode — the whole entry is
@@ -58,6 +65,7 @@ impl std::fmt::Debug for PrefetchHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self.state {
             State::Ram(_) => "ram",
+            State::Decoded { .. } => "decoded",
             State::Stream { .. } => "stream",
         };
         f.debug_struct("PrefetchHandle")
@@ -78,6 +86,26 @@ impl PrefetchHandle {
         })
     }
 
+    /// Wraps an already-decoded cache (no store, no codec) — how cb-core's
+    /// `Fusor::blend` feeds its in-RAM parts to the pipelined loader.
+    pub fn from_cache(cache: KvCache) -> Self {
+        let meta = EntryMeta {
+            n_layers: cache.n_layers(),
+            rows: cache.len(),
+            width: cache.layers.first().map_or(0, |l| l.k.cols()),
+            positions: cache.positions,
+            tokens: cache.tokens,
+        };
+        Self {
+            tier: 0,
+            origin: None,
+            state: State::Decoded {
+                layers: cache.layers,
+                meta,
+            },
+        }
+    }
+
     /// Index of the store tier serving this read (0 = fastest).
     pub fn tier(&self) -> usize {
         self.tier
@@ -87,6 +115,7 @@ impl PrefetchHandle {
     pub fn meta(&mut self) -> Result<&EntryMeta, StoreError> {
         match &mut self.state {
             State::Ram(reader) => Ok(reader.meta()),
+            State::Decoded { meta, .. } => Ok(meta),
             State::Stream { meta_rx, meta, .. } => {
                 if meta.is_none() {
                     let got = meta_rx
@@ -103,35 +132,66 @@ impl PrefetchHandle {
     /// available. Streamed handles must consume layers in order
     /// (`0, 1, 2, …`) — exactly how the pipelined loader walks them.
     pub fn layer_into(&mut self, l: usize, out: &mut LayerKv) -> Result<(), StoreError> {
-        match &mut self.state {
-            State::Ram(reader) => reader.layer_into(l, out).map_err(|e| {
-                if let Some((store, id)) = &self.origin {
-                    store.evict_corrupt(*id);
+        let result = match &mut self.state {
+            State::Ram(reader) => reader.layer_into(l, out),
+            State::Decoded { layers, meta } => {
+                let src = &layers[l];
+                for (dst, src) in [(&mut out.k, &src.k), (&mut out.v, &src.v)] {
+                    dst.resize_dirty(meta.rows, meta.width);
+                    dst.as_mut_slice().copy_from_slice(src.as_slice());
                 }
-                StoreError::Corrupt(e)
-            }),
-            State::Stream {
-                block_rx,
-                meta,
-                next,
-                ..
-            } => {
-                assert_eq!(l, *next, "streamed layers must be consumed in order");
-                let (m, format) = meta.as_ref().expect("call meta() before layer_into()");
-                let block = block_rx
-                    .recv()
-                    .map_err(|_| StoreError::Backend("prefetch reader died".into()))??;
-                *next += 1;
-                format
-                    .decode_layer_block(&block, m.rows, m.width, out)
-                    .map_err(|e| {
-                        if let Some((store, id)) = &self.origin {
-                            store.evict_corrupt(*id);
-                        }
-                        StoreError::Corrupt(e)
-                    })
+                Ok(())
             }
+            State::Stream { .. } => {
+                let (block, rows, width, format) = self.next_block(l)?;
+                format.decode_layer_block(&block, rows, width, out)
+            }
+        };
+        result.map_err(|e| self.corrupt(e))
+    }
+
+    /// Passes over layer `l` without decoding it: the blend recomputes
+    /// layer 0 in full, so its loaded KV would never be read. In-memory
+    /// handles do nothing; a streamed handle still takes the block off the
+    /// stream and verifies its checksum, so every block of an entry the
+    /// stream promotes has been checked.
+    pub fn skip_layer(&mut self, l: usize) -> Result<(), StoreError> {
+        if !matches!(self.state, State::Stream { .. }) {
+            return Ok(());
         }
+        let (block, rows, width, format) = self.next_block(l)?;
+        format
+            .verify_layer_block(&block, rows, width)
+            .map_err(|e| self.corrupt(e))
+    }
+
+    /// Receives a streamed handle's block for layer `l` with the shape
+    /// and format it must be decoded at.
+    fn next_block(&mut self, l: usize) -> Result<(Bytes, usize, usize, EntryFormat), StoreError> {
+        let State::Stream {
+            block_rx,
+            meta,
+            next,
+            ..
+        } = &mut self.state
+        else {
+            unreachable!("only streamed handles receive blocks");
+        };
+        assert_eq!(l, *next, "streamed layers must be consumed in order");
+        let (m, format) = meta.as_ref().expect("call meta() before reading layers");
+        let block = block_rx
+            .recv()
+            .map_err(|_| StoreError::Backend("prefetch reader died".into()))??;
+        *next += 1;
+        Ok((block, m.rows, m.width, *format))
+    }
+
+    /// Evicts a store-backed entry whose block failed verification.
+    fn corrupt(&self, e: DecodeError) -> StoreError {
+        if let Some((store, id)) = &self.origin {
+            store.evict_corrupt(*id);
+        }
+        StoreError::Corrupt(e)
     }
 }
 
@@ -243,6 +303,10 @@ impl KvStore {
                     if format.entry_len_u128(n_layers, rows, width) != payload_len as u128 {
                         return Err(StoreError::Corrupt(DecodeError::Truncated));
                     }
+                    // The promotion copy, allocated once at its final size:
+                    // grown from empty it would re-copy (and re-fault) the
+                    // entry at every doubling.
+                    assembled = BytesMut::with_capacity(payload_len as usize);
                     let mut header = BytesMut::with_capacity(header_len(rows));
                     header.put_slice(&dims);
                     header.put_slice(&read_exactly(stream, header_len(rows) - dims.len())?);

@@ -117,15 +117,7 @@ pub fn decode_quantized_block(
     width: usize,
     out: &mut LayerKv,
 ) -> Result<(), DecodeError> {
-    let expect = q_layer_block_len(rows, width);
-    if block.len() < expect {
-        return Err(DecodeError::Truncated);
-    }
-    let body = expect - 8;
-    let declared = u64::from_le_bytes(block[body..expect].try_into().unwrap());
-    if fnv64(&block[..body]) != declared {
-        return Err(DecodeError::Corrupted);
-    }
+    EntryFormat::Quantized.verify_layer_block(block, rows, width)?;
     let stride = 4 + width;
     let fill = |m: &mut Matrix, lo: usize| {
         // Every element is overwritten below.

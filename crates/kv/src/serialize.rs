@@ -89,6 +89,25 @@ impl EntryFormat {
         }
     }
 
+    /// Verifies one layer block's checksum without decoding it.
+    pub fn verify_layer_block(
+        self,
+        block: &[u8],
+        rows: usize,
+        width: usize,
+    ) -> Result<(), DecodeError> {
+        let expect = self.layer_block_len(rows, width);
+        if block.len() < expect {
+            return Err(DecodeError::Truncated);
+        }
+        let body = expect - 8;
+        let declared = u64::from_le_bytes(block[body..expect].try_into().unwrap());
+        if fnv64(&block[..body]) != declared {
+            return Err(DecodeError::Corrupted);
+        }
+        Ok(())
+    }
+
     /// Verifies one layer block's checksum and decodes it (dequantizing
     /// if needed) into `out`.
     pub fn decode_layer_block(
@@ -239,16 +258,8 @@ pub fn decode_layer_block(
     width: usize,
     out: &mut LayerKv,
 ) -> Result<(), DecodeError> {
-    let expect = layer_block_len(rows, width);
-    if block.len() < expect {
-        return Err(DecodeError::Truncated);
-    }
-    let body = expect - 8;
-    let declared = u64::from_le_bytes(block[body..expect].try_into().unwrap());
-    if fnv64(&block[..body]) != declared {
-        return Err(DecodeError::Corrupted);
-    }
-    let half = body / 2;
+    EntryFormat::F32.verify_layer_block(block, rows, width)?;
+    let half = (layer_block_len(rows, width) - 8) / 2;
     // Bulk little-endian conversion (chunked from_le_bytes compiles to a
     // plain copy on LE targets) — layer decode sits on the blend's
     // TTFT-critical path.
@@ -280,11 +291,7 @@ pub fn verify_entry(bytes: &[u8]) -> Result<EntryMeta, DecodeError> {
     let block = format.layer_block_len(meta.rows, meta.width);
     let mut off = header_len(meta.rows);
     for _ in 0..meta.n_layers {
-        let body = block - 8;
-        let declared = u64::from_le_bytes(bytes[off + body..off + block].try_into().unwrap());
-        if fnv64(&bytes[off..off + body]) != declared {
-            return Err(DecodeError::Corrupted);
-        }
+        format.verify_layer_block(&bytes[off..off + block], meta.rows, meta.width)?;
         off += block;
     }
     Ok(meta)

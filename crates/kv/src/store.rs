@@ -8,21 +8,32 @@
 //!   that can hold the entry; when a tier is full its least-recently-used
 //!   entries *spill* to the next tier down (instead of being dropped), and
 //!   only the last tier evicts outright.
-//! - **Promote-on-hit.** A read served by a slow tier moves the entry back
-//!   up to the fast tier (spilling others to make room), so a working set
-//!   that fits in RAM converges there.
+//! - **Write-once lower tiers.** Entries are content-addressed
+//!   ([`ChunkId`] is the token hash) and immutable, so a slower copy can
+//!   never go stale. A read served by a slow tier *copies* the entry up to
+//!   the fast tier and keeps the slow copy as the entry's *retained copy*;
+//!   when the fast tier later picks that entry as its LRU victim, the fast
+//!   copy is *released* — dropped, with the entry resident at the retained
+//!   copy again — and nothing is written ([`StoreStats::released`]). A
+//!   working set that fits in RAM still converges there, but a hit/evict
+//!   cycle costs the slow device one read and no writes, and leaves the
+//!   disk log nothing to compact.
 //! - **Quantize-on-demote.** A tier marked [`TierConfig::quantized`]
 //!   stores entries in the int8 cold format ([`crate::quantize`], ~4×
 //!   smaller); bytes are transcoded at the tier boundary — quantized when
 //!   they spill in, dequantized when they promote out — and callers only
-//!   ever see full-precision entries.
+//!   ever see full-precision entries. A promoted entry's resident copy is
+//!   transcoded from its retained copy, so releasing onto it loses
+//!   nothing the caller could see.
 //! - **Verified loads.** Every load path re-checks the entry's wire-format
 //!   checksums ([`crate::serialize`]); a corrupt entry is evicted and
 //!   reported as [`StoreError::Corrupt`] rather than ever handed out.
 //! - **Persistence.** With a persistent last tier, [`KvStore::persist`]
-//!   demotes every RAM-resident entry to it and flushes, and a new store
+//!   demotes every RAM-resident entry to it (releasing onto a retained
+//!   copy there instead of rewriting it) and flushes, and a new store
 //!   built over the same backend re-indexes the surviving records — KV
-//!   state survives process restart.
+//!   state survives process restart. A promoted entry survives a restart
+//!   even without `persist`: its disk record is never deleted.
 //!
 //! Lookup reports *which* tier served the hit so callers can charge the
 //! matching device delay; [`KvStore::prefetch`] (see [`crate::prefetch`])
@@ -89,8 +100,13 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Entries demoted to a slower tier to make room.
     pub spills: u64,
-    /// Entries moved back to the fast tier on a slow-tier hit.
+    /// Entries copied up to the fast tier on a slow-tier hit (the slow
+    /// copy is kept as the entry's retained copy).
     pub promotions: u64,
+    /// Fast-tier copies dropped to make room while the entry's retained
+    /// copy on a slower tier kept serving it — the evictions that wrote
+    /// nothing.
+    pub released: u64,
     /// Entries evicted because a load failed its checksum.
     pub corrupt_evictions: u64,
     /// Entries adopted from a shared persistent tier after another store
@@ -99,7 +115,7 @@ pub struct StoreStats {
     pub discovered: u64,
     /// Bytes read from non-RAM tiers (tier index > 0) to serve loads.
     pub loaded_bytes: u64,
-    /// Bytes written downward by spills.
+    /// Bytes written downward by spills (releases write none).
     pub spilled_bytes: u64,
     /// Entries transcoded to the int8 cold format at a tier boundary.
     pub quantizations: u64,
@@ -129,12 +145,19 @@ struct IndexEntry {
     /// Active streaming reads; a pinned entry is never spilled, promoted,
     /// or chosen as an eviction victim (its backing bytes are mid-read).
     pins: u32,
+    /// `(tier, size)` of the copy the entry was promoted from, kept on
+    /// that slower tier while the faster copy serves. Only [`promote`]
+    /// records one, so the resident copy was transcoded from it and both
+    /// decode to the same values; dropping either copy loses nothing.
+    retained: Option<(usize, u64)>,
 }
 
 #[derive(Debug)]
 struct TierState {
     cfg: TierConfig,
     backend: Arc<dyn StorageBackend>,
+    /// Bytes of every copy on the tier: resident entries and retained
+    /// copies.
     used: u64,
 }
 
@@ -264,6 +287,7 @@ impl KvStore {
                         shape: None,
                         last_used: clock,
                         pins: 0,
+                        retained: None,
                     },
                 );
                 inner.tiers[t].used += size;
@@ -350,12 +374,12 @@ impl KvStore {
                 shape,
                 last_used: now,
                 pins: 0,
+                retained: None,
             },
         );
         inner.tiers[t].used += size;
         inner.stats.inserts += 1;
-        let used: u64 = inner.tiers.iter().map(|tier| tier.used).sum();
-        inner.peak_bytes = inner.peak_bytes.max(used);
+        note_peak(&mut inner);
         Ok(t)
     }
 
@@ -449,13 +473,13 @@ impl KvStore {
                     shape: None,
                     last_used: now,
                     pins: 0,
+                    retained: None,
                 },
             );
             inner.tiers[t].used += size;
             inner.stats.discovered += 1;
             reclassify(&mut inner);
-            let used: u64 = inner.tiers.iter().map(|tier| tier.used).sum();
-            inner.peak_bytes = inner.peak_bytes.max(used);
+            note_peak(&mut inner);
             return true;
         }
         false
@@ -470,9 +494,7 @@ impl KvStore {
         let mut inner = self.inner.lock();
         if let Some(e) = inner.index.get(&id) {
             if e.tier == tier && e.pins == 0 {
-                let size = e.size;
-                inner.index.remove(&id);
-                inner.tiers[tier].used -= size;
+                unindex(&mut inner, id);
             }
         }
     }
@@ -582,25 +604,18 @@ impl KvStore {
     /// Evicts an entry whose bytes failed verification.
     pub(crate) fn evict_corrupt(&self, id: ChunkId) {
         let mut inner = self.inner.lock();
-        if let Some(e) = inner.index.remove(&id) {
-            inner.tiers[e.tier].used -= e.size;
+        if let Some(e) = unindex(&mut inner, id) {
             inner.tiers[e.tier].backend.remove(id.0);
             inner.stats.corrupt_evictions += 1;
         }
     }
 
     /// Removes an entry from whichever tier holds it, reclaiming its
-    /// bytes on *every* backend (stale persisted copies included).
-    /// Returns `true` if an entry was present.
+    /// bytes on *every* backend (its retained copy and stale persisted
+    /// copies included). Returns `true` if an entry was present.
     pub fn remove(&self, id: ChunkId) -> bool {
         let mut inner = self.inner.lock();
-        let present = match inner.index.remove(&id) {
-            Some(e) => {
-                inner.tiers[e.tier].used -= e.size;
-                true
-            }
-            None => false,
-        };
+        let present = unindex(&mut inner, id).is_some();
         let mut any = false;
         for tier in &inner.tiers {
             any |= tier.backend.remove(id.0);
@@ -610,8 +625,10 @@ impl KvStore {
 
     /// Demotes every entry on a non-persistent tier to the last tier (when
     /// that tier is persistent) and flushes it, so the store's contents
-    /// survive the process. Entries that cannot fit are left in RAM (and
-    /// lost on exit); the last tier's own LRU may evict to make room.
+    /// survive the process. An entry whose retained copy is already on the
+    /// last tier is released onto it, writing nothing. Entries that cannot
+    /// fit are left in RAM (and lost on exit); the last tier's own LRU may
+    /// evict to make room.
     pub fn persist(&self) -> Result<(), StoreError> {
         let backend = {
             let mut inner = self.inner.lock();
@@ -640,7 +657,10 @@ impl KvStore {
     /// Copies one entry's bytes onto the last tier's backend when that
     /// tier is persistent, *without* changing the entry's residency — the
     /// fast-tier copy keeps serving, and the persistent copy becomes
-    /// discoverable by sibling stores over a shared segment dir. No-op
+    /// discoverable by sibling stores over a shared segment dir. The copy
+    /// is left unindexed: in the last tier's format it may be a lossy
+    /// int8 transcode, which must never become the entry's retained copy
+    /// (eviction would silently release the f32 entry onto it). No-op
     /// (`Ok(false)`) when the last tier is not persistent or the entry is
     /// already on it. Cluster registration uses this so every registered
     /// chunk is servable by every replica.
@@ -727,9 +747,23 @@ impl KvStore {
         self.inner.lock().tiers[tier].cfg.capacity
     }
 
-    /// Bytes used on a tier.
+    /// Bytes used on a tier: its resident entries and the retained copies
+    /// it keeps for entries promoted off it.
     pub fn tier_used(&self, tier: usize) -> u64 {
         self.inner.lock().tiers[tier].used
+    }
+
+    /// Bytes of retained copies across all tiers: the part of
+    /// [`KvStore::used_bytes`] that duplicates an entry resident on a
+    /// faster tier.
+    pub fn retained_bytes(&self) -> u64 {
+        let inner = self.inner.lock();
+        inner
+            .index
+            .values()
+            .filter_map(|e| e.retained)
+            .map(|(_, size)| size)
+            .sum()
     }
 
     /// Entries resident on a tier.
@@ -797,6 +831,7 @@ impl KvStore {
                 current.promotions,
                 prev.promotions,
             ),
+            ("cb_store_released_total", current.released, prev.released),
             (
                 "cb_store_corrupt_evictions_total",
                 current.corrupt_evictions,
@@ -926,20 +961,63 @@ fn tier_can_hold(
     inner.tiers[next].cfg.capacity as u128 >= need
 }
 
-/// Spills or evicts LRU entries of tier `t` until `need` more bytes fit.
-/// Pinned entries (mid-stream) are never victims; if only pinned entries
-/// remain the tier is allowed to stay transiently over capacity.
+/// Records the current footprint in [`KvStore::peak_bytes`].
+fn note_peak(inner: &mut Inner) {
+    let used: u64 = inner.tiers.iter().map(|tier| tier.used).sum();
+    inner.peak_bytes = inner.peak_bytes.max(used);
+}
+
+/// Releases this store's claim on `id`'s copy of `size` bytes on tier `t`
+/// (`forget`: a shared tier keeps its segment for sibling handles).
+fn drop_copy(inner: &mut Inner, id: ChunkId, t: usize, size: u64) {
+    inner.tiers[t].backend.forget(id.0);
+    inner.tiers[t].used -= size;
+}
+
+/// Drops `id` from the index and its bytes from the tiers' accounting.
+/// The retained copy is released here; the resident copy's bytes are left
+/// to the caller, which picks `remove` or `forget` for them.
+fn unindex(inner: &mut Inner, id: ChunkId) -> Option<IndexEntry> {
+    let e = inner.index.remove(&id)?;
+    inner.tiers[e.tier].used -= e.size;
+    if let Some((t, size)) = e.retained {
+        drop_copy(inner, id, t, size);
+    }
+    Some(e)
+}
+
+/// Frees tier `t` until `need` more bytes fit, taking LRU victims among
+/// the entries with a copy on it. A victim resident on `t` that retains a
+/// slower copy is released onto that copy; a victim whose retained copy is
+/// on `t` loses that copy and keeps serving from above. Both write
+/// nothing. Any other victim spills to the next tier, or is evicted from
+/// the last. Pinned entries (mid-stream) are never victims; if only
+/// pinned entries remain the tier is allowed to stay transiently over
+/// capacity.
 fn make_room(inner: &mut Inner, t: usize, need: u64) -> Result<(), StoreError> {
     while inner.tiers[t].used + need > inner.tiers[t].cfg.capacity {
         let victim = inner
             .index
             .iter()
-            .filter(|(_, e)| e.tier == t && e.pins == 0)
+            .filter(|(_, e)| e.pins == 0 && (e.tier == t || e.retained.map(|r| r.0) == Some(t)))
             .min_by_key(|(_, e)| e.last_used)
-            .map(|(&id, e)| (id, e.size, e.shape));
-        let Some((victim, size, shape)) = victim else {
+            .map(|(&id, e)| (id, e.tier, e.size, e.shape, e.retained));
+        let Some((victim, tier, size, shape, retained)) = victim else {
             break; // only pinned entries left
         };
+        if let Some((rt, rsize)) = retained {
+            let e = inner.index.get_mut(&victim).expect("victim is indexed");
+            e.retained = None;
+            if tier == t {
+                e.tier = rt;
+                e.size = rsize;
+                drop_copy(inner, victim, t, size);
+                inner.stats.released += 1;
+            } else {
+                drop_copy(inner, victim, rt, rsize);
+            }
+            continue;
+        }
         let next = t + 1;
         if next < inner.tiers.len() && tier_can_hold(inner, t, next, size, shape) {
             demote_to(inner, victim, next, true)?;
@@ -949,8 +1027,7 @@ fn make_room(inner: &mut Inner, t: usize, need: u64) -> Result<(), StoreError> {
             // replicas (which may serve it, or re-discover it here later);
             // private backends free the bytes outright.
             inner.tiers[t].backend.forget(victim.0);
-            inner.tiers[t].used -= size;
-            inner.index.remove(&victim);
+            unindex(inner, victim);
             inner.stats.evictions += 1;
         }
     }
@@ -958,6 +1035,9 @@ fn make_room(inner: &mut Inner, t: usize, need: u64) -> Result<(), StoreError> {
 }
 
 /// Moves an entry's bytes down to tier `to` (cascading room-making there).
+/// An entry whose retained copy is on `to` is released onto it instead,
+/// writing nothing; a retained copy anywhere else is dropped first, so an
+/// entry never has a copy both above and below its resident one.
 /// Runs under the store lock: the source read is a RAM map clone in every
 /// shipped configuration (spills originate from RAM tiers; recovery trim
 /// runs before the store is shared). A config stacking two throttled disk
@@ -976,24 +1056,33 @@ fn demote_to(
     to: usize,
     evict_on_overflow: bool,
 ) -> Result<(), StoreError> {
-    let Some(e) = inner.index.get(&id) else {
+    let Some(e) = inner.index.get_mut(&id) else {
         return Ok(());
     };
     let (from, size) = (e.tier, e.size);
     if from >= to {
         return Ok(());
     }
+    match e.retained.take() {
+        Some((rt, rsize)) if rt == to => {
+            e.tier = to;
+            e.size = rsize;
+            drop_copy(inner, id, from, size);
+            inner.stats.released += 1;
+            return Ok(());
+        }
+        Some((rt, rsize)) => drop_copy(inner, id, rt, rsize),
+        None => {}
+    }
     let bytes = match inner.tiers[from].backend.get(id.0) {
         Ok(Some(b)) => b,
         Ok(None) => {
             // Index/backend drifted (concurrent remove): drop the index.
-            inner.tiers[from].used -= size;
-            inner.index.remove(&id);
+            unindex(inner, id);
             return Ok(());
         }
         Err(BackendError::Corrupt) => {
-            inner.tiers[from].used -= size;
-            inner.index.remove(&id);
+            unindex(inner, id);
             inner.stats.corrupt_evictions += 1;
             return Ok(());
         }
@@ -1015,8 +1104,7 @@ fn demote_to(
     if new_size > inner.tiers[to].cfg.capacity {
         if evict_on_overflow {
             inner.tiers[from].backend.forget(id.0);
-            inner.tiers[from].used -= size;
-            inner.index.remove(&id);
+            unindex(inner, id);
             inner.stats.evictions += 1;
         }
         return Ok(());
@@ -1025,8 +1113,7 @@ fn demote_to(
     inner.tiers[to].backend.put(id.0, bytes)?;
     // Release the source copy: `forget` (not `remove`) so a shared source
     // tier keeps its segment for sibling handles.
-    inner.tiers[from].backend.forget(id.0);
-    inner.tiers[from].used -= size;
+    drop_copy(inner, id, from, size);
     inner.tiers[to].used += new_size;
     let e = inner.index.get_mut(&id).expect("still indexed");
     e.tier = to;
@@ -1036,9 +1123,11 @@ fn demote_to(
     Ok(())
 }
 
-/// Moves a slow-tier entry up to tier 0 after a verified read (the bytes
-/// are already in hand, so promotion is a RAM write plus a slow-tier
-/// delete). Skipped for pinned entries and entries that can never fit.
+/// Copies a slow-tier entry up to tier 0 after a verified read (the bytes
+/// are already in hand, so promotion is one RAM write). The slow copy
+/// stays where it is as the entry's retained copy: no delete, no
+/// tombstone, and a later eviction of the RAM copy writes nothing.
+/// Skipped for pinned entries and entries that can never fit.
 fn promote(inner: &mut Inner, id: ChunkId, bytes: &Bytes) -> Result<(), StoreError> {
     let Some(e) = inner.index.get_mut(&id) else {
         return Ok(());
@@ -1073,18 +1162,15 @@ fn promote(inner: &mut Inner, id: ChunkId, bytes: &Bytes) -> Result<(), StoreErr
     if from == 0 {
         return Ok(());
     }
+    debug_assert!(e.retained.is_none(), "only a tier-0 copy retains another");
     inner.tiers[0].backend.put(id.0, bytes)?;
-    // Promote by *move* from a private tier, by *copy* from a shared one
-    // (`forget` releases only this handle's claim): sibling replicas over
-    // a shared segment dir serve from the same file, so deleting it here
-    // would steal the entry from them.
-    inner.tiers[from].backend.forget(id.0);
-    inner.tiers[from].used -= size;
     inner.tiers[0].used += new_size;
     let e = inner.index.get_mut(&id).expect("still indexed");
+    e.retained = Some((from, size));
     e.tier = 0;
     e.size = new_size;
     inner.stats.promotions += 1;
+    note_peak(inner);
     Ok(())
 }
 
@@ -1535,6 +1621,140 @@ mod tests {
                 "entry {i} must survive the sibling's eviction"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// RAM for `ram_cap` bytes over an unthrottled segment log, with a
+    /// handle on the log to count what it writes.
+    fn ram_log(ram_cap: u64, dir: &std::path::Path) -> (KvStore, Arc<SegmentLogBackend>) {
+        let log = Arc::new(SegmentLogBackend::new(dir, None).unwrap());
+        let store = KvStore::with_backends(vec![
+            (TierConfig::new("ram", ram_cap), Arc::new(MemBackend::new())),
+            (TierConfig::new("disk", 1 << 20), log.clone()),
+        ]);
+        (store, log)
+    }
+
+    /// Bytes in the log's files once its queued appends are written: every
+    /// put and every tombstone grows it.
+    fn log_bytes(store: &KvStore, log: &SegmentLogBackend) -> u64 {
+        store.flush().unwrap();
+        log.log_stats().file_bytes
+    }
+
+    #[test]
+    fn promote_evict_cycles_write_nothing() {
+        let dir = test_dir("write-once");
+        let sz = entry_size(2);
+        let (s, log) = ram_log(sz, &dir);
+        let (a, b) = (toy_cache(2, 1.0), toy_cache(2, 2.0));
+        s.insert(ChunkId(1), &a).unwrap();
+        s.insert(ChunkId(2), &b).unwrap(); // 1 spills: written once
+        assert_eq!(s.get(ChunkId(1)).unwrap().unwrap(), (a.clone(), 1));
+        // 2 spilled to make room for 1's copy: both are now written once.
+        assert_eq!(s.stats().spills, 2);
+        let before = (log_bytes(&s, &log), s.stats());
+        assert!(before.0 > 0);
+        for cycle in 0..6u64 {
+            let (id, want) = if cycle % 2 == 0 { (2, &b) } else { (1, &a) };
+            let (got, tier) = s.get(ChunkId(id)).unwrap().unwrap();
+            assert_eq!((&got, tier), (want, 1), "cycle {cycle}: bit-exact disk hit");
+            assert_eq!(s.tier_of(ChunkId(id)), Some(0), "cycle {cycle}: promoted");
+            assert_eq!(
+                s.tier_of(ChunkId(3 - id)),
+                Some(1),
+                "cycle {cycle}: released"
+            );
+        }
+        let after = (log_bytes(&s, &log), s.stats());
+        assert_eq!(after.0, before.0, "no log append and no tombstone");
+        assert_eq!(after.1.spills, before.1.spills);
+        assert_eq!(after.1.spilled_bytes, before.1.spilled_bytes);
+        assert_eq!(after.1.promotions, before.1.promotions + 6);
+        assert_eq!(after.1.released, before.1.released + 6);
+        assert_eq!(after.1.compactions, 0);
+        // RAM holds one entry; the log holds both, one as a retained copy.
+        assert_eq!((s.tier_used(0), s.tier_used(1)), (sz, 2 * sz));
+        assert_eq!(s.retained_bytes(), sz);
+        assert_eq!(s.used_bytes() - s.retained_bytes(), 2 * sz);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_int8_replica_is_never_a_retained_copy() {
+        // RAM → f32 disk → persistent int8 cold tier. The cold tier holds
+        // an int8 replica of the entry, but the f32 entry evicted from RAM
+        // must spill as f32, not be released onto the lossy replica.
+        let dir = test_dir("replica");
+        let sz = entry_size(2);
+        let s = KvStore::with_backends(vec![
+            (TierConfig::new("ram", sz), Arc::new(MemBackend::new())),
+            (
+                TierConfig::new("disk", 1 << 20),
+                Arc::new(MemBackend::new()),
+            ),
+            (
+                TierConfig::quantized("cold", 1 << 20),
+                Arc::new(SegmentLogBackend::new(&dir, None).unwrap()),
+            ),
+        ]);
+        let a = toy_cache(2, 1.5);
+        s.insert(ChunkId(1), &a).unwrap();
+        assert!(s.replicate_to_persistent(ChunkId(1)).unwrap());
+        assert_eq!(s.retained_bytes(), 0, "the replica is unindexed");
+        s.insert(ChunkId(2), &toy_cache(2, 2.0)).unwrap();
+        let st = s.stats();
+        assert_eq!((st.spills, st.released), (1, 0));
+        assert_eq!(st.spilled_bytes, sz, "spilled at its f32 size");
+        assert_eq!(s.get(ChunkId(1)).unwrap().unwrap(), (a, 1), "bit-exact f32");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn remove_drops_every_copy() {
+        let dir = test_dir("remove-copies");
+        let sz = entry_size(2);
+        let (s, _log) = ram_log(sz, &dir);
+        s.insert(ChunkId(1), &toy_cache(2, 1.0)).unwrap();
+        s.insert(ChunkId(2), &toy_cache(2, 2.0)).unwrap();
+        s.get(ChunkId(1)).unwrap().unwrap(); // 1: RAM copy + retained disk copy
+        assert_eq!(s.retained_bytes(), sz);
+        assert!(s.remove(ChunkId(1)));
+        assert!(s.remove(ChunkId(2)));
+        assert_eq!((s.tier_used(0), s.tier_used(1)), (0, 0));
+        assert_eq!((s.used_bytes(), s.retained_bytes()), (0, 0));
+        s.flush().unwrap();
+        drop(s);
+        let (reopened, _log) = ram_log(sz, &dir);
+        assert!(reopened.is_empty(), "no copy survives on disk");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persist_onto_a_retained_copy_writes_nothing() {
+        let dir = test_dir("persist-retained");
+        let c = toy_cache(3, 4.0);
+        {
+            let (s, log) = ram_log(1 << 20, &dir);
+            s.insert(ChunkId(1), &c).unwrap();
+            s.persist().unwrap();
+            assert_eq!(s.get(ChunkId(1)).unwrap().unwrap(), (c.clone(), 1));
+            assert_eq!(s.tier_of(ChunkId(1)), Some(0), "promoted by copy");
+            let before = (log_bytes(&s, &log), s.stats());
+            s.persist().unwrap();
+            let after = (log_bytes(&s, &log), s.stats());
+            assert_eq!(after.0, before.0, "persist wrote nothing");
+            assert_eq!(after.1.spills, before.1.spills);
+            assert_eq!(after.1.released, before.1.released + 1);
+            assert_eq!(s.tier_of(ChunkId(1)), Some(1));
+            assert_eq!(s.retained_bytes(), 0);
+        }
+        let (s, _log) = ram_log(1 << 20, &dir);
+        assert_eq!(
+            s.get(ChunkId(1)).unwrap().unwrap(),
+            (c, 1),
+            "rebuilt store serves it"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,8 @@
 //! Persistent KV cache: register chunks, persist, drop the engine, rebuild
 //! from the same cache dir, and serve a warm request without recomputing
-//! any chunk KV.
+//! any chunk KV. The warm request promotes the entries to RAM *by copy*,
+//! so a third session recovers them again even though the second one
+//! exits without persisting.
 //!
 //! Run with: `cargo run --release --example persistent_cache`
 
@@ -85,7 +87,7 @@ fn main() {
 
     let t0 = Instant::now();
     let ids = engine
-        .register_chunks(&[chunk1, chunk2])
+        .register_chunks(&[chunk1.clone(), chunk2.clone()])
         .expect("re-register");
     let warm_register = t0.elapsed();
     assert_eq!(
@@ -95,7 +97,7 @@ fn main() {
     );
 
     let resp = engine
-        .submit(Request::new(ids, query).max_new_tokens(4))
+        .submit(Request::new(ids.clone(), query.clone()).max_new_tokens(4))
         .expect("serve warm");
     assert!(
         resp.chunk_sources
@@ -110,6 +112,52 @@ fn main() {
         vocab.render_seq(&resp.answer)
     );
     println!("           served from tier(s): {:?}", resp.chunk_sources);
+
+    // The disk hits promote the entries to RAM once their streams finish.
+    let promoted = || ids.iter().all(|&id| engine.store().tier_of(id) == Some(0));
+    for _ in 0..400 {
+        if promoted() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert!(promoted(), "the warm request promotes every entry to RAM");
+    // Promotion copied: the disk records are still there, so exiting
+    // without persist() loses nothing.
+    drop(engine);
+    println!("           promoted both entries to RAM; exiting without persist()\n");
+
+    // ---- Session 3: rebuild again, with no persist in between. -------
+    let engine = build();
+    println!(
+        "session 3: recovered {} entries ({} bytes) from the cache dir",
+        engine.store().len(),
+        engine.store().used_bytes()
+    );
+    assert_eq!(
+        engine.store().len(),
+        2,
+        "promotion left the disk records in place"
+    );
+    let ids = engine
+        .register_chunks(&[chunk1, chunk2])
+        .expect("re-register");
+    assert_eq!(engine.store().stats().inserts, 0, "no precompute");
+    let resp = engine
+        .submit(Request::new(ids, query).max_new_tokens(4))
+        .expect("serve warm");
+    assert!(
+        resp.chunk_sources
+            .iter()
+            .all(|s| matches!(s, cacheblend::engine::ChunkSource::Hit { .. })),
+        "session 3 hits the recovered entries"
+    );
+    println!(
+        "           warm TTFT {:.2?}, answer → {}, served from tier(s): {:?}",
+        resp.ttft.total - resp.ttft.decode,
+        vocab.render_seq(&resp.answer),
+        resp.chunk_sources
+    );
 
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
