@@ -5,15 +5,12 @@
 //!
 //! ```text
 //! cb_gateway --listen 127.0.0.1:7070 --expect-workers 2 [--smoke [--chaos]]
-//! cb_gateway --listen 127.0.0.1:7071 --standby 127.0.0.1:7070 [--expect-workers 2]
 //! ```
 //!
-//! `--standby PRIMARY` runs the warm-standby role instead: mirror the
-//! primary's journal/chunks/roster over its replication feed, and when
-//! the primary goes silent (or its connection closes), **take over** —
-//! bind `--listen`, inherit the roster as placeholder slots (chunk homes
-//! unchanged), and serve workers re-attaching under `--retry-attach`
-//! plus clients resuming by request id.
+//! The gateway is a single point of failure: if this process dies, its
+//! clients' open streams end with `Canceled`, and `cb_worker
+//! --retry-attach` workers re-attach once a gateway listens on the same
+//! address again.
 //!
 //! `--chaos` extends the smoke into a fault drill: it keeps a stream of
 //! concurrent requests in flight for several seconds while an **external
@@ -28,7 +25,6 @@
 use cb_core::engine::Request;
 use cb_net::client::NetClient;
 use cb_net::gateway::{Gateway, GatewayConfig};
-use cb_net::standby::Standby;
 use cb_net::tcp::TcpTransport;
 use cb_obs::{cb_error, cb_info, cb_warn};
 use cb_tokenizer::{TokenId, TokenKind, Vocab};
@@ -37,14 +33,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: cb_gateway --listen ADDR [--expect-workers N] [--smoke [--chaos]] [--standby PRIMARY_ADDR]"
-    );
+    eprintln!("usage: cb_gateway --listen ADDR [--expect-workers N] [--smoke [--chaos]]");
     std::process::exit(2);
 }
 
 /// Starts the accept loop on `listener`, handing every connection —
-/// worker, client, or standby — to the gateway.
+/// worker or client — to the gateway.
 fn serve(gateway: &Arc<Gateway>, listener: TcpListener) {
     let gateway = Arc::clone(gateway);
     std::thread::spawn(move || {
@@ -160,7 +154,6 @@ fn main() {
     let mut expect = 1usize;
     let mut smoke = false;
     let mut chaos = false;
-    let mut standby_of: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -173,7 +166,6 @@ fn main() {
             }
             "--smoke" => smoke = true,
             "--chaos" => chaos = true,
-            "--standby" => standby_of = args.next(),
             _ => usage(),
         }
     }
@@ -182,28 +174,7 @@ fn main() {
         usage();
     }
 
-    let gateway = if let Some(primary) = standby_of {
-        // Standby role: mirror until the primary dies, then take over.
-        let conn = TcpTransport::connect(&primary).unwrap_or_else(|e| {
-            cb_error!("gateway", "cannot reach primary {primary}: {e}");
-            std::process::exit(1);
-        });
-        let standby =
-            Standby::connect(Arc::new(conn), GatewayConfig::default()).unwrap_or_else(|e| {
-                cb_error!("gateway", "standby handshake with {primary} failed: {e}");
-                std::process::exit(1);
-            });
-        cb_info!("gateway", "standing by for {primary}");
-        let gateway = Arc::new(standby.wait_takeover());
-        cb_info!(
-            "gateway",
-            "primary {primary} died; taking over with {} roster slots",
-            gateway.n_workers()
-        );
-        gateway
-    } else {
-        Arc::new(Gateway::new(GatewayConfig::default()))
-    };
+    let gateway = Arc::new(Gateway::new(GatewayConfig::default()));
 
     let listener = TcpListener::bind(&listen).unwrap_or_else(|e| {
         cb_error!("gateway", "cannot bind {listen}: {e}");

@@ -9,7 +9,7 @@
 //! ```text
 //! cb_top --gateway 127.0.0.1:7070              # live, 1s refresh
 //! cb_top --gateway 127.0.0.1:7070 --once       # one plain-text frame
-//! cb_top --gateway a:7070 --gateway b:7071     # failover endpoint list
+//! cb_top --gateway a:7070 --gateway b:7071     # dial the first that answers
 //! ```
 
 use cb_net::client::NetClient;
@@ -206,11 +206,10 @@ fn render(
     // -- gateway -----------------------------------------------------------
     out.push('\n');
     out.push_str(&format!(
-        "  gateway   retries {:>6}   failovers {:>5}   adoptions {:>5}   takeovers {:>4}\n",
+        "  gateway   retries {:>6}   failovers {:>5}   adoptions {:>5}\n",
         counter(snap, "cb_gateway_retries_total"),
         counter(snap, "cb_gateway_failovers_total"),
         counter(snap, "cb_gateway_adoptions_total"),
-        counter(snap, "cb_gateway_takeovers_total"),
     ));
     out.push_str(&format!(
         "            spills {:>7}   reroutes {:>6}   rejections {:>4}   locality {:>5}\n",

@@ -6,16 +6,16 @@
 //! cb_worker --gateway ADDR[,ADDR...] [--workers 2] [--seed 11] [--retry-attach]
 //! ```
 //!
-//! `--gateway` takes an **ordered** endpoint list: the primary first,
-//! warm-standby gateways after; the worker dials them in order. An
+//! `--gateway` takes an **ordered** endpoint list; the worker dials the
+//! addresses in order and serves the first that accepts. An
 //! unreachable gateway fails fast: a few capped-backoff passes over the
 //! list (about two seconds), then a clear message and a non-zero exit.
 //!
 //! With `--retry-attach`, a worker whose gateway session ends keeps its
 //! engine (and every cached chunk) alive, redials the list with backoff,
 //! and re-attaches under the **same identity with a bumped incarnation**
-//! — so the gateway (primary or freshly promoted standby) lets it adopt
-//! its old slot and no chunk home moves.
+//! — so a gateway that still holds its slot lets it adopt that slot and
+//! no chunk home moves.
 //!
 //! The engine is a Tiny-profile instance built from `--seed`; every
 //! worker in a cluster must use the same profile and seed so routing

@@ -5,17 +5,12 @@
 //! loopback-vs-TCP parity tests drive the cluster exclusively through
 //! this type.
 //!
-//! **Sessions survive the gateway.** A client built with
-//! [`NetClient::connect_endpoints`] holds an *ordered* endpoint list —
-//! primary first, warm standbys after. When the connection dies it
-//! redials the list in order under the [`RetryPolicy`] backoff and
-//! re-submits every in-flight request **by its original id**; each
-//! session's [`ReplayFilter`] suppresses the already-delivered event
-//! prefix (replayed tokens are verified bit-identical), so a collector
-//! that spans a gateway takeover still sees one seamless stream. A
-//! client built over a bare transport ([`NetClient::connect`]) has no
-//! endpoints to redial: its open streams close on disconnect and
-//! collectors observe [`EngineError::Canceled`].
+//! **A session lives as long as its gateway connection.** Nothing
+//! redials: when the connection dies, every open stream closes and its
+//! collector observes [`EngineError::Canceled`], every waiting RPC fails,
+//! and every later [`NetClient::submit_stream`] fails at once with
+//! [`ErrorCode::NoHealthyWorker`]. [`NetClient::connect_endpoints`] walks
+//! an endpoint list only for the initial dial.
 
 use crate::message::{Message, WireRequest};
 use crate::retry::RetryPolicy;
@@ -23,191 +18,110 @@ use crate::tcp::TcpTransport;
 use crate::transport::{NetError, Transport};
 use cb_core::engine::{EngineError, ErrorCode, Request, Response};
 use cb_core::scheduler::ServiceProbe;
-use cb_core::stream::{Event, ReplayFilter, ResponseStream};
+use cb_core::stream::{Event, ResponseStream};
 use cb_kv::ChunkId;
 use cb_obs::metrics::MetricsSnapshot;
 use cb_tokenizer::TokenId;
-use crossbeam::channel::{self, Sender};
+use crossbeam::channel::{self, RecvTimeoutError, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One in-flight submission: everything needed to re-drive it on a
-/// fresh connection and splice the resumed stream seamlessly.
-struct Session {
-    request: WireRequest,
-    tx: Sender<Event>,
-    filter: ReplayFilter,
-    /// Trace context re-sent with the submission on every resume.
-    trace: u64,
-    span: u64,
+/// Where the demux delivers what the gateway sends back.
+#[derive(Default)]
+struct Routes {
+    /// One event route per open stream, by request id.
+    streams: HashMap<u64, Sender<Event>>,
+    /// One reply route per in-flight RPC. The demux removes the entry
+    /// before it sends the one reply, so each is a `bounded(1)` channel
+    /// whose single send can never block.
+    rpcs: HashMap<u64, Sender<Message>>,
 }
 
 struct ClientInner {
-    conn: RwLock<Arc<dyn Transport>>,
-    /// Ordered redial list (primary first, standbys after); empty for
-    /// clients over a bare transport, which cannot resume.
-    endpoints: Vec<String>,
+    conn: Arc<dyn Transport>,
     policy: RetryPolicy,
-    sessions: Mutex<HashMap<u64, Session>>,
-    rpcs: Mutex<HashMap<u64, Sender<Message>>>,
+    /// `None` once the gateway connection died: dropping the routes
+    /// closes every open stream and fails every waiting RPC.
+    routes: Mutex<Option<Routes>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
-    reconnects: AtomicU64,
 }
 
 impl ClientInner {
-    fn conn(&self) -> Arc<dyn Transport> {
-        self.conn.read().unwrap().clone()
+    /// Runs `f` on the routes; `None` once the gateway connection died.
+    fn with_routes<R>(&self, f: impl FnOnce(&mut Routes) -> R) -> Option<R> {
+        self.routes.lock().unwrap().as_mut().map(f)
     }
 
-    fn demux_loop(self: Arc<Self>) {
+    fn demux_loop(&self) {
         loop {
             if self.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            match self.conn().recv_timeout(Duration::from_millis(50)) {
-                Ok(Message::Ev { id, event, .. }) => self.handle_event(id, event.into_event()),
+            match self.conn.recv_timeout(Duration::from_millis(50)) {
+                Ok(Message::Ev { id, event, .. }) => {
+                    let event = event.into_event();
+                    // The terminal event retires the route; a late event
+                    // for a resolved stream finds none and is dropped.
+                    self.with_routes(|r| {
+                        if event.is_terminal() {
+                            if let Some(tx) = r.streams.remove(&id) {
+                                let _ = tx.send(event);
+                            }
+                        } else if let Some(tx) = r.streams.get(&id) {
+                            let _ = tx.send(event);
+                        }
+                    });
+                }
                 Ok(
-                    msg @ (Message::RegisterReply { .. }
-                    | Message::ClusterStatusReply { .. }
-                    | Message::MetricsReply { .. }),
+                    msg @ (Message::RegisterReply { rpc, .. }
+                    | Message::ClusterStatusReply { rpc, .. }
+                    | Message::MetricsReply { rpc, .. }),
                 ) => {
-                    let rpc = match &msg {
-                        Message::RegisterReply { rpc, .. }
-                        | Message::ClusterStatusReply { rpc, .. }
-                        | Message::MetricsReply { rpc, .. } => *rpc,
-                        _ => unreachable!(),
-                    };
-                    if let Some(tx) = self.rpcs.lock().unwrap().remove(&rpc) {
+                    if let Some(Some(tx)) = self.with_routes(|r| r.rpcs.remove(&rpc)) {
                         let _ = tx.send(msg);
                     }
                 }
                 Ok(_) => {}
                 Err(NetError::Timeout) => {}
                 Err(_) => {
-                    // In-flight RPCs do not resume (their reply routing
-                    // died with the connection): fail them now.
-                    self.rpcs.lock().unwrap().clear();
-                    if !self.try_resume() {
-                        // Gateway gone for good: dropping the senders
-                        // closes every open stream, so collectors observe
-                        // `Canceled` rather than hanging.
-                        self.sessions.lock().unwrap().clear();
-                        return;
-                    }
+                    // The gateway is gone and nothing redials it.
+                    *self.routes.lock().unwrap() = None;
+                    return;
                 }
             }
         }
     }
 
-    /// Routes one stream event through its session's replay filter:
-    /// forwards fresh events, suppresses the prefix replayed after a
-    /// reconnect (verifying bit-identity), retires the session on the
-    /// first forwarded terminal.
-    fn handle_event(&self, id: u64, ev: Event) {
-        let mut sessions = self.sessions.lock().unwrap();
-        let Some(s) = sessions.get_mut(&id) else {
-            return; // Late event for a resolved stream.
-        };
-        let forward = match s.filter.admit(&ev) {
-            Ok(forward) => forward,
-            Err(m) => {
-                let _ = s.tx.send(Event::Failed(EngineError::Remote {
-                    code: ErrorCode::Corrupt,
-                    message: format!("resumed stream diverged: {m}"),
-                }));
-                sessions.remove(&id);
-                debug_assert!(false, "resumed stream diverged: {m}");
-                return;
-            }
-        };
-        if !forward {
-            return;
-        }
-        let terminal = ev.is_terminal();
-        let _ = s.tx.send(ev);
-        if terminal {
-            sessions.remove(&id);
-        }
-    }
-
-    /// Redials the endpoint list in order under the policy backoff and
-    /// re-submits every open session by its original id. Returns `false`
-    /// when there are no endpoints or the retry budget is spent.
-    fn try_resume(&self) -> bool {
-        if self.endpoints.is_empty() {
-            return false;
-        }
-        for attempt in 1..=self.policy.max_retries {
-            std::thread::sleep(self.policy.backoff(attempt));
-            if self.shutdown.load(Ordering::Relaxed) {
-                return false;
-            }
-            for ep in &self.endpoints {
-                let Ok(t) = TcpTransport::connect(ep.as_str()) else {
-                    continue;
-                };
-                let t: Arc<dyn Transport> = Arc::new(t);
-                if t.send(&Message::HelloClient).is_err() {
-                    continue;
-                }
-                let resumed = {
-                    let mut sessions = self.sessions.lock().unwrap();
-                    let mut ok = true;
-                    for (&id, s) in sessions.iter_mut() {
-                        // The new gateway sees a fresh submission; our
-                        // filter suppresses the replayed prefix.
-                        s.filter.rewind();
-                        let msg = Message::Submit {
-                            id,
-                            trace: s.trace,
-                            span: s.span,
-                            blocking: false,
-                            request: s.request.clone(),
-                        };
-                        if t.send(&msg).is_err() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    ok
-                };
-                if !resumed {
-                    continue;
-                }
-                *self.conn.write().unwrap() = t;
-                self.reconnects.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// One request/reply RPC. `name` is the wire verb — timeout errors
-    /// name it and the destination so operators know *which* call to
-    /// *where* stalled.
+    /// One request/reply RPC. `name` is the wire verb — errors name it
+    /// and the destination so operators know *which* call to *where*
+    /// failed.
     fn rpc(&self, name: &str, build: impl FnOnce(u64) -> Message) -> Result<Message, NetError> {
         let rpc = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::unbounded();
-        self.rpcs.lock().unwrap().insert(rpc, tx);
-        let conn = self.conn();
-        if let Err(e) = conn.send(&build(rpc)) {
-            self.rpcs.lock().unwrap().remove(&rpc);
+        let (tx, rx) = channel::bounded(1);
+        let sent = match self.with_routes(|r| r.rpcs.insert(rpc, tx)) {
+            Some(_) => self.conn.send(&build(rpc)),
+            None => Err(NetError::Closed),
+        };
+        if let Err(e) = sent {
+            self.with_routes(|r| r.rpcs.remove(&rpc));
             return Err(NetError::Io(format!(
                 "{name} RPC to gateway {} failed to send: {e}",
-                conn.peer()
+                self.conn.peer()
             )));
         }
-        rx.recv_timeout(self.policy.rpc_timeout).map_err(|_| {
-            self.rpcs.lock().unwrap().remove(&rpc);
-            NetError::Io(format!(
-                "{name} RPC to gateway {} timed out after {:?}",
-                conn.peer(),
-                self.policy.rpc_timeout
-            ))
+        rx.recv_timeout(self.policy.rpc_timeout).map_err(|e| {
+            self.with_routes(|r| r.rpcs.remove(&rpc));
+            let why = match e {
+                RecvTimeoutError::Timeout => {
+                    format!("timed out after {:?}", self.policy.rpc_timeout)
+                }
+                RecvTimeoutError::Disconnected => "lost its connection before replying".into(),
+            };
+            NetError::Io(format!("{name} RPC to gateway {} {why}", self.conn.peer()))
         })
     }
 }
@@ -222,7 +136,7 @@ pub struct NetClient {
 impl std::fmt::Debug for NetClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetClient")
-            .field("peer", &self.inner.conn().peer())
+            .field("peer", &self.inner.conn.peer())
             .finish()
     }
 }
@@ -230,30 +144,28 @@ impl std::fmt::Debug for NetClient {
 impl NetClient {
     /// Opens a client session on `conn`: announces `HelloClient` and
     /// starts the demux thread that routes incoming frames to streams.
-    /// No endpoint list, so a dead connection is final (streams close).
     pub fn connect(conn: Arc<dyn Transport>) -> Result<NetClient, NetError> {
-        Self::start(conn, Vec::new(), RetryPolicy::default())
+        Self::start(conn, RetryPolicy::default())
     }
 
-    /// Dials an **ordered** endpoint list — the primary gateway first,
-    /// warm standbys after — taking the first that accepts, under the
-    /// policy's backoff. The session then survives gateway failover:
-    /// on disconnect it redials the same list and resumes every
-    /// in-flight stream by request id (see module docs).
+    /// Dials an ordered endpoint list over TCP, taking the first that
+    /// accepts, under the policy's backoff, then opens a session as
+    /// [`NetClient::connect`] does. The list is walked only for this
+    /// dial: a session that loses its gateway later is over.
     pub fn connect_endpoints(
         endpoints: &[impl AsRef<str>],
         policy: RetryPolicy,
     ) -> Result<NetClient, NetError> {
-        let endpoints: Vec<String> = endpoints.iter().map(|e| e.as_ref().to_string()).collect();
+        let endpoints: Vec<&str> = endpoints.iter().map(AsRef::as_ref).collect();
         if endpoints.is_empty() {
             return Err(NetError::Io("empty gateway endpoint list".into()));
         }
         let mut last_err = None;
         for attempt in 0..=policy.max_retries {
             std::thread::sleep(policy.backoff(attempt));
-            for ep in &endpoints {
-                match TcpTransport::connect(ep.as_str()) {
-                    Ok(t) => return Self::start(Arc::new(t), endpoints.clone(), policy),
+            for &ep in &endpoints {
+                match TcpTransport::connect(ep) {
+                    Ok(t) => return Self::start(Arc::new(t), policy),
                     Err(e) => last_err = Some(format!("{ep}: {e}")),
                 }
             }
@@ -265,21 +177,14 @@ impl NetClient {
         )))
     }
 
-    fn start(
-        conn: Arc<dyn Transport>,
-        endpoints: Vec<String>,
-        policy: RetryPolicy,
-    ) -> Result<NetClient, NetError> {
+    fn start(conn: Arc<dyn Transport>, policy: RetryPolicy) -> Result<NetClient, NetError> {
         conn.send(&Message::HelloClient)?;
         let inner = Arc::new(ClientInner {
-            conn: RwLock::new(conn),
-            endpoints,
+            conn,
             policy,
-            sessions: Mutex::new(HashMap::new()),
-            rpcs: Mutex::new(HashMap::new()),
+            routes: Mutex::new(Some(Routes::default())),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            reconnects: AtomicU64::new(0),
         });
         let demux = {
             let inner = Arc::clone(&inner);
@@ -298,32 +203,28 @@ impl NetClient {
     /// returned stream replays the worker's events exactly as an
     /// in-process `EngineService` stream would; routing failures arrive
     /// as `Event::Failed` with the structured
-    /// [`ErrorCode::NoHealthyWorker`] error.
+    /// [`ErrorCode::NoHealthyWorker`] error, and so does a submission the
+    /// dead gateway connection cannot carry.
     pub fn submit_stream(&self, request: &Request) -> ResponseStream {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, stream) = ResponseStream::channel();
-        let wire = WireRequest::from_request(request);
-        self.inner.sessions.lock().unwrap().insert(
-            id,
-            Session {
-                request: wire.clone(),
-                tx: tx.clone(),
-                filter: ReplayFilter::new(),
-                trace: request.trace,
-                span: request.trace_parent,
-            },
-        );
-        let msg = Message::Submit {
-            id,
-            trace: request.trace,
-            span: request.trace_parent,
-            blocking: false,
-            request: wire,
-        };
-        if self.inner.conn().send(&msg).is_err() && self.inner.endpoints.is_empty() {
-            // No redial list: fail now. With endpoints, the session stays
-            // journaled — the demux loop's resume will re-drive it.
-            self.inner.sessions.lock().unwrap().remove(&id);
+        let sent = self
+            .inner
+            .with_routes(|r| r.streams.insert(id, tx.clone()))
+            .is_some()
+            && self
+                .inner
+                .conn
+                .send(&Message::Submit {
+                    id,
+                    trace: request.trace,
+                    span: request.trace_parent,
+                    blocking: false,
+                    request: WireRequest::from_request(request),
+                })
+                .is_ok();
+        if !sent {
+            self.inner.with_routes(|r| r.streams.remove(&id));
             let _ = tx.send(Event::Failed(EngineError::Remote {
                 code: ErrorCode::NoHealthyWorker,
                 message: "gateway connection closed".into(),
@@ -374,12 +275,6 @@ impl NetClient {
         }
     }
 
-    /// How many times this session redialed and resumed after losing its
-    /// gateway connection.
-    pub fn reconnects(&self) -> u64 {
-        self.inner.reconnects.load(Ordering::Relaxed)
-    }
-
     /// Cluster-aggregated metrics: the gateway publishes its own
     /// counters, fans the scrape out to every connected worker, and
     /// merges the registries (instance-deduplicated). One call sees
@@ -403,7 +298,7 @@ impl Drop for NetClient {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         // Tell the gateway the session is over (best-effort).
-        let _ = self.inner.conn().send(&Message::Shutdown);
+        let _ = self.inner.conn.send(&Message::Shutdown);
         if let Some(h) = self.demux.take() {
             let _ = h.join();
         }

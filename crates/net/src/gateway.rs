@@ -57,12 +57,12 @@
 //! so the client's `collect()` sees one seamless stream. Journal entries
 //! retire exactly once, on the first terminal event actually forwarded.
 //!
-//! **A warm standby mirrors everything it needs to take over.** A peer
-//! opening with `HelloStandby` receives a snapshot and then a live feed
-//! of the pending journal, the chunk registry (tokens, so registrations
-//! survive), and the worker roster via the `Replicate*` messages; the
-//! periodic roster re-send doubles as the primary's heartbeat. See
-//! [`crate::standby::Standby`] for the takeover half.
+//! **The gateway itself is a single point of failure.** Its journal and
+//! roster live only in this process: when it dies, every client stream
+//! closes with [`EngineError::Canceled`], and workers started with
+//! `--retry-attach` wait to re-attach to a gateway restarted on the same
+//! address. Gateway high availability needs a fencing epoch and a lease
+//! first, so that two gateways can never both accept submits.
 
 use crate::message::{Message, WireEvent, WireFailure, WireRequest};
 use crate::retry::RetryPolicy;
@@ -149,10 +149,6 @@ pub struct ClusterStats {
     /// Slot adoptions: workers that re-attached under a known identity
     /// and reclaimed their old slot instead of growing the roster.
     pub adoptions: u64,
-    /// Gateway takeovers survived: how many times this gateway's state
-    /// was inherited from a failed primary by a warm standby (0 on a
-    /// gateway that started as the primary).
-    pub takeovers: u64,
 }
 
 impl ClusterStats {
@@ -188,15 +184,13 @@ struct AtomicClusterStats {
     rejections: AtomicU64,
     retries: AtomicU64,
     adoptions: AtomicU64,
-    takeovers: AtomicU64,
 }
 
 /// Gateway tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct GatewayConfig {
     /// Silence longer than this declares a worker down (until its next
-    /// heartbeat). Keep it several heartbeat intervals wide. The same
-    /// window governs when a standby declares the primary dead.
+    /// heartbeat). Keep it several heartbeat intervals wide.
     pub heartbeat_timeout: Duration,
     /// How long [`Gateway::attach`] waits for the `HelloWorker` frame.
     pub attach_timeout: Duration,
@@ -272,23 +266,17 @@ struct WorkerSlot {
     /// Current connection generation; hellos must exceed it to adopt,
     /// frames from older incarnations are dropped.
     incarnation: AtomicU64,
-    /// The live connection; `None` on a resumed roster slot whose worker
-    /// has not re-attached yet.
-    conn: RwLock<Option<Arc<dyn Transport>>>,
+    /// The live connection, replaced when a re-attach adopts the slot.
+    conn: RwLock<Arc<dyn Transport>>,
     admissions: AtomicU64,
     state: Mutex<SlotState>,
 }
 
 impl WorkerSlot {
-    fn conn(&self) -> Option<Arc<dyn Transport>> {
-        self.conn.read().unwrap().clone()
-    }
-
     fn send(&self, msg: &Message) -> Result<(), NetError> {
-        match self.conn() {
-            Some(c) => c.send(msg),
-            None => Err(NetError::Closed),
-        }
+        // Clone out of the lock: a slow send must not hold up a re-attach.
+        let conn = Arc::clone(&self.conn.read().unwrap());
+        conn.send(msg)
     }
 }
 
@@ -372,21 +360,16 @@ pub enum Accepted {
     Worker(usize),
     /// A client session started (served on a background thread).
     Client,
-    /// A warm-standby gateway subscribed to the replication feed.
-    Standby,
 }
 
 struct GwInner {
     cfg: GatewayConfig,
     workers: RwLock<Vec<Arc<WorkerSlot>>>,
     pending: Mutex<HashMap<u64, Pending>>,
+    /// Reply routes of in-flight RPCs. The worker demux removes an entry
+    /// before it sends the one reply, so every route is a `bounded(1)`
+    /// channel whose single send can never block.
     rpcs: Mutex<HashMap<u64, Sender<Message>>>,
-    /// Registered chunk tokens by content-addressed id — the registry a
-    /// standby mirrors so no registration is lost across a takeover.
-    chunks: Mutex<HashMap<u64, Vec<TokenId>>>,
-    /// Live standby subscriber connections (dead ones are dropped on the
-    /// next mirror write).
-    standbys: Mutex<Vec<Arc<dyn Transport>>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     stats: AtomicClusterStats,
@@ -421,30 +404,6 @@ impl GwInner {
 
     fn n_workers(&self) -> usize {
         self.workers.read().unwrap().len()
-    }
-
-    // --- standby mirroring ------------------------------------------------
-
-    /// Sends one frame to every live standby, dropping dead subscribers.
-    /// No-op (and no lock contention on the hot path) while no standby is
-    /// attached.
-    fn mirror(&self, msg: &Message) {
-        let mut standbys = self.standbys.lock().unwrap();
-        if standbys.is_empty() {
-            return;
-        }
-        standbys.retain(|c| c.send(msg).is_ok());
-    }
-
-    fn roster_msg(&self) -> Message {
-        let slots = self.slots();
-        Message::ReplicateRoster {
-            ids: slots.iter().map(|s| s.id).collect(),
-            incarnations: slots
-                .iter()
-                .map(|s| s.incarnation.load(Ordering::Relaxed))
-                .collect(),
-        }
     }
 
     // --- placement --------------------------------------------------------
@@ -526,7 +485,6 @@ impl GwInner {
             rejections: s.rejections.load(Ordering::Relaxed),
             retries: s.retries.load(Ordering::Relaxed),
             adoptions: s.adoptions.load(Ordering::Relaxed),
-            takeovers: s.takeovers.load(Ordering::Relaxed),
         }
     }
 
@@ -582,11 +540,6 @@ impl GwInner {
                 current.adoptions,
                 prev.adoptions,
             ),
-            (
-                "cb_gateway_takeovers_total",
-                current.takeovers,
-                prev.takeovers,
-            ),
         ] {
             let delta = now.saturating_sub(then);
             if delta > 0 {
@@ -621,7 +574,7 @@ impl GwInner {
         let mut waits = Vec::new();
         for slot in self.slots() {
             let rpc = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = channel::bounded(1);
             self.rpcs.lock().unwrap().insert(rpc, tx);
             if slot.send(&Message::Metrics { rpc }).is_err() {
                 // Disconnected worker: scrape whoever remains.
@@ -764,8 +717,7 @@ impl GwInner {
                 if let Some(p) = pending.remove(&id) {
                     p.close_trace();
                 }
-                drop(pending);
-                self.mirror(&Message::ReplicateRetire { id });
+                drop(pending); // Release the journal before asserting.
                 debug_assert!(false, "mid-stream retry replay diverged: {m}");
                 return;
             }
@@ -774,24 +726,11 @@ impl GwInner {
             return; // Replayed prefix: suppressed, bit-identity verified.
         }
         let terminal = ev.is_terminal();
-        let progress = match ev {
-            Event::Token(_) => Some(p.filter.tokens_delivered() as u32),
-            _ => None,
-        };
         let _ = p.tx.send(ev); // Receiver may be gone; fine.
         if terminal {
             if let Some(p) = pending.remove(&id) {
                 p.close_trace();
             }
-        }
-        drop(pending);
-        if terminal {
-            self.mirror(&Message::ReplicateRetire { id });
-        } else if let Some(delivered_tokens) = progress {
-            self.mirror(&Message::ReplicateProgress {
-                id,
-                delivered_tokens,
-            });
         }
     }
 
@@ -842,27 +781,16 @@ impl GwInner {
             self.fail_pending(id, "no healthy worker remains to retry the request");
             return;
         };
-        let wire = {
+        let (request, trace, span) = {
             let mut pending = self.pending.lock().unwrap();
             let Some(p) = pending.get_mut(&id) else {
                 return; // Resolved while the backoff elapsed.
             };
             p.worker = target;
             let span = p.next_attempt(format!("retry#{}", p.retries));
-            (
-                WireRequest::from_request(&p.request),
-                p.filter.tokens_delivered() as u32,
-                p.trace,
-                span,
-            )
+            (WireRequest::from_request(&p.request), p.trace, span)
         };
-        let (request, delivered_tokens, trace, span) = wire;
         cb_debug!("gateway", "retry {id} -> worker {target} trace={trace:#x}");
-        self.mirror(&Message::ReplicatePending {
-            id,
-            request: request.clone(),
-            delivered_tokens,
-        });
         let sent = self.slots()[target].send(&Message::Submit {
             id,
             trace,
@@ -889,7 +817,6 @@ impl GwInner {
                 code: ErrorCode::NoHealthyWorker,
                 message: why.into(),
             }));
-            self.mirror(&Message::ReplicateRetire { id });
         }
     }
 
@@ -926,7 +853,6 @@ impl GwInner {
         };
         p.worker = target;
         let request = WireRequest::from_request(&p.request);
-        let delivered_tokens = p.filter.tokens_delivered() as u32;
         let trace = p.trace;
         let span = p.next_attempt(format!("serve#{}", p.attempts));
         drop(pending);
@@ -934,11 +860,6 @@ impl GwInner {
             "gateway",
             "respill {id} -> worker {target} blocking={blocking}"
         );
-        self.mirror(&Message::ReplicatePending {
-            id,
-            request: request.clone(),
-            delivered_tokens,
-        });
         let sent = self.slots()[target].send(&Message::Submit {
             id,
             trace,
@@ -1057,11 +978,6 @@ impl GwInner {
             },
         );
         cb_debug!("gateway", "place {id} -> worker {worker} trace={trace:#x}");
-        self.mirror(&Message::ReplicatePending {
-            id,
-            request: wire.clone(),
-            delivered_tokens: 0,
-        });
         let sent = self.slots()[worker].send(&Message::Submit {
             id,
             trace,
@@ -1081,7 +997,7 @@ impl GwInner {
 
     fn rpc(&self, worker: usize, build: impl FnOnce(u64) -> Message) -> Result<Message, NetError> {
         let rpc = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel::bounded(1);
         self.rpcs.lock().unwrap().insert(rpc, tx);
         if let Err(e) = self.slots()[worker].send(&build(rpc)) {
             self.rpcs.lock().unwrap().remove(&rpc);
@@ -1114,7 +1030,7 @@ impl GwInner {
         let mut waits = Vec::with_capacity(slots.len());
         for slot in &slots {
             let rpc = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = channel::bounded(1);
             self.rpcs.lock().unwrap().insert(rpc, tx);
             let msg = Message::RegisterChunk {
                 rpc,
@@ -1157,13 +1073,6 @@ impl GwInner {
                 }
             }
         }
-        // Record (and replicate) the registration only once every worker
-        // confirmed it — a standby must never believe in a chunk the
-        // cluster does not actually hold.
-        self.chunks.lock().unwrap().insert(id.0, tokens.to_vec());
-        self.mirror(&Message::ReplicateChunk {
-            tokens: tokens.to_vec(),
-        });
         Ok(id)
     }
 
@@ -1300,8 +1209,6 @@ impl Gateway {
                 workers: RwLock::new(Vec::new()),
                 pending: Mutex::new(HashMap::new()),
                 rpcs: Mutex::new(HashMap::new()),
-                chunks: Mutex::new(HashMap::new()),
-                standbys: Mutex::new(Vec::new()),
                 next_id: AtomicU64::new(1),
                 shutdown: AtomicBool::new(false),
                 stats: AtomicClusterStats::default(),
@@ -1311,47 +1218,6 @@ impl Gateway {
         }
     }
 
-    /// A gateway resuming a failed primary's role from mirrored state
-    /// (the takeover half of [`crate::standby::Standby`]).
-    ///
-    /// The inherited roster is materialized as **placeholder slots** in
-    /// the original order — same indices, so rendezvous chunk homes are
-    /// exactly what the old primary computed — with no connection and
-    /// marked unhealthy until each worker re-attaches and adopts its
-    /// slot. `chunks` re-seeds the registry so registrations survive;
-    /// re-registration at the workers happens lazily on their next miss
-    /// (workers keep their stores across a gateway death).
-    pub fn resume(
-        cfg: GatewayConfig,
-        roster: Vec<(u64, u64)>,
-        chunks: HashMap<u64, Vec<TokenId>>,
-        takeovers: u64,
-    ) -> Self {
-        let gw = Gateway::new(cfg);
-        {
-            let mut workers = gw.inner.workers.write().unwrap();
-            for (index, (id, incarnation)) in roster.into_iter().enumerate() {
-                workers.push(Arc::new(WorkerSlot {
-                    index,
-                    id,
-                    incarnation: AtomicU64::new(incarnation),
-                    conn: RwLock::new(None),
-                    admissions: AtomicU64::new(0),
-                    state: Mutex::new(SlotState {
-                        probe: ServiceProbe::default(),
-                        last_heartbeat: Instant::now(),
-                        marked_up: true,
-                        connected: false,
-                        was_healthy: false,
-                    }),
-                }));
-            }
-        }
-        *gw.inner.chunks.lock().unwrap() = chunks;
-        gw.inner.stats.takeovers.store(takeovers, Ordering::Relaxed);
-        gw
-    }
-
     /// Attaches a worker connection: blocks for its `HelloWorker` frame
     /// (so health state is settled when this returns), assigns the next
     /// index — or, for a known identity with a higher incarnation, its
@@ -1359,8 +1225,8 @@ impl Gateway {
     pub fn attach(&self, conn: Arc<dyn Transport>) -> Result<usize, NetError> {
         match self.accept(conn)? {
             Accepted::Worker(index) => Ok(index),
-            Accepted::Client | Accepted::Standby => Err(NetError::Io(
-                "expected a HelloWorker frame, got a client/standby hello".into(),
+            Accepted::Client => Err(NetError::Io(
+                "expected a HelloWorker frame, got a client hello".into(),
             )),
         }
     }
@@ -1433,8 +1299,7 @@ impl Gateway {
 
     /// Accepts a new connection of any kind: workers are attached (a
     /// known identity with a higher incarnation adopts its old slot),
-    /// clients get a session thread speaking submit/register/status, and
-    /// standbys get a state snapshot plus the live replication feed.
+    /// and clients get a session thread speaking submit/register/status.
     pub fn accept(&self, conn: Arc<dyn Transport>) -> Result<Accepted, NetError> {
         match conn.recv_timeout(self.inner.cfg.attach_timeout)? {
             Message::HelloWorker {
@@ -1457,7 +1322,7 @@ impl Gateway {
                             )));
                         }
                         existing.incarnation.store(incarnation, Ordering::Relaxed);
-                        *existing.conn.write().unwrap() = Some(Arc::clone(&conn));
+                        *existing.conn.write().unwrap() = Arc::clone(&conn);
                         {
                             let mut st = existing.state.lock().unwrap();
                             st.probe = probe;
@@ -1474,7 +1339,7 @@ impl Gateway {
                             index,
                             id,
                             incarnation: AtomicU64::new(incarnation),
-                            conn: RwLock::new(Some(Arc::clone(&conn))),
+                            conn: RwLock::new(Arc::clone(&conn)),
                             admissions: AtomicU64::new(0),
                             state: Mutex::new(SlotState {
                                 probe,
@@ -1497,7 +1362,6 @@ impl Gateway {
                     .spawn(move || inner.demux_loop(slot, conn, incarnation))
                     .map_err(|e| NetError::Io(e.to_string()))?;
                 self.demux.lock().unwrap().push(handle);
-                self.inner.mirror(&self.inner.roster_msg());
                 Ok(Accepted::Worker(index))
             }
             Message::HelloClient => {
@@ -1508,50 +1372,6 @@ impl Gateway {
                     .map_err(|e| NetError::Io(e.to_string()))?;
                 self.demux.lock().unwrap().push(handle);
                 Ok(Accepted::Client)
-            }
-            Message::HelloStandby => {
-                // Snapshot-then-subscribe, atomically with respect to
-                // concurrent mirror writes: holding the subscriber lock
-                // while snapshotting means the standby misses no update
-                // between its snapshot and the live feed.
-                {
-                    let mut standbys = self.inner.standbys.lock().unwrap();
-                    conn.send(&self.inner.roster_msg())?;
-                    for tokens in self.inner.chunks.lock().unwrap().values() {
-                        conn.send(&Message::ReplicateChunk {
-                            tokens: tokens.clone(),
-                        })?;
-                    }
-                    for (&id, p) in self.inner.pending.lock().unwrap().iter() {
-                        conn.send(&Message::ReplicatePending {
-                            id,
-                            request: WireRequest::from_request(&p.request),
-                            delivered_tokens: p.filter.tokens_delivered() as u32,
-                        })?;
-                    }
-                    standbys.push(Arc::clone(&conn));
-                }
-                // Keepalive: re-send the roster every tick. Its silence
-                // (or the connection closing) is what the standby's
-                // takeover detector watches.
-                let inner = Arc::clone(&self.inner);
-                let handle = std::thread::Builder::new()
-                    .name("cb-net-gw-standby".into())
-                    .spawn(move || {
-                        let tick = inner.cfg.tick();
-                        loop {
-                            std::thread::sleep(tick);
-                            if inner.shutdown.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            if conn.send(&inner.roster_msg()).is_err() {
-                                return; // Standby gone; mirror() reaps it.
-                            }
-                        }
-                    })
-                    .map_err(|e| NetError::Io(e.to_string()))?;
-                self.demux.lock().unwrap().push(handle);
-                Ok(Accepted::Standby)
             }
             other => Err(NetError::Io(format!(
                 "expected a hello frame, got {other:?}"

@@ -29,25 +29,23 @@
 //!   on a ticker. Carries a stable `(id, incarnation)` identity so a
 //!   reconnect adopts its old gateway slot.
 //! - [`client`] — the remote front door used by external processes (and
-//!   the gateway's own `--smoke` self-check); reconnects across an
-//!   ordered endpoint list and resumes in-flight streams by request id.
+//!   the gateway's own `--smoke` self-check). A dead gateway connection
+//!   closes every open stream with `Canceled`.
 //! - [`retry`] — the shared [`retry::RetryPolicy`]: every timeout,
 //!   retry-budget, and backoff knob in one documented place.
-//! - [`standby`] — the warm-standby gateway: mirrors the primary's
-//!   journal/chunks/roster over the `Replicate*` feed and takes over on
-//!   primary silence.
 //!
 //! The [`Gateway`] is the only cluster API. In-process clusters attach
 //! their workers with [`Gateway::attach_local`] (a loopback transport,
 //! so every in-process cluster test exercises the full protocol path)
-//! and restart one with [`Gateway::reattach_local`].
+//! and restart one with [`Gateway::reattach_local`]. The gateway is a
+//! single point of failure: when it dies, every client stream closes
+//! with `Canceled`, and nothing takes its place.
 
 pub mod client;
 pub mod frame;
 pub mod gateway;
 pub mod message;
 pub mod retry;
-pub mod standby;
 pub mod tcp;
 pub mod transport;
 pub mod worker;
@@ -57,7 +55,6 @@ pub use frame::{decode_frame, encode_frame, read_frame, write_frame, FrameError}
 pub use gateway::{Accepted, ClusterError, ClusterStats, Gateway, GatewayConfig};
 pub use message::{Message, WireError, WireEvent, WireFailure, WireRequest, WireResponse};
 pub use retry::RetryPolicy;
-pub use standby::Standby;
 pub use tcp::TcpTransport;
 pub use transport::{loopback_pair, LoopbackTransport, NetError, Transport};
 pub use worker::{Worker, WorkerConfig};

@@ -679,9 +679,7 @@ fn decode_stats(d: &mut Dec) -> Result<ServiceStats, WireError> {
 /// `Rejected`, `Ev`, and RPC replies; the gateway sends `Submit`,
 /// `RegisterChunk`, `Status`, `Drain`, and `Shutdown`. Clients speak the
 /// same submit/register/status verbs to the gateway, which relays `Ev`
-/// frames back. A warm-standby gateway opens with `HelloStandby` and
-/// then only ever receives: the primary mirrors its journal, chunk
-/// registry, and roster to it via the `Replicate*` family.
+/// frames back.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
@@ -704,10 +702,6 @@ pub enum Message {
     },
     /// First frame on a client connection.
     HelloClient,
-    /// First frame on a warm-standby gateway connection: asks the primary
-    /// to mirror its pending journal, chunk registry, and worker roster
-    /// via the `Replicate*` family.
-    HelloStandby,
     /// Periodic worker → gateway health report.
     Heartbeat {
         /// Fresh admission probe.
@@ -824,49 +818,6 @@ pub enum Message {
     },
     /// Terminal frame: the peer is going away; tear the connection down.
     Shutdown,
-    /// Primary → standby: a journal entry was created or re-placed. The
-    /// standby stores the full request body so a takeover can resume the
-    /// session when the client re-submits by id.
-    ReplicatePending {
-        /// The journaled request id.
-        id: u64,
-        /// The request body.
-        request: WireRequest,
-        /// Answer tokens already relayed to the client for this id.
-        delivered_tokens: u32,
-    },
-    /// Primary → standby: more of a journaled request's answer reached
-    /// the client (sent per relayed token so the mirror's delivered
-    /// count never trails by more than one in-flight frame).
-    ReplicateProgress {
-        /// The journaled request id.
-        id: u64,
-        /// Total answer tokens relayed to the client so far.
-        delivered_tokens: u32,
-    },
-    /// Primary → standby: a journal entry resolved (terminal event
-    /// relayed); the mirror drops it.
-    ReplicateRetire {
-        /// The retired request id.
-        id: u64,
-    },
-    /// Primary → standby: a chunk registered cluster-wide. The tokens
-    /// (not just the content-addressed id) cross so the standby can
-    /// re-register them against workers that attach after a takeover.
-    ReplicateChunk {
-        /// The chunk's tokens.
-        tokens: Vec<TokenId>,
-    },
-    /// Primary → standby: the worker roster, in slot order (identity and
-    /// current incarnation per slot). Doubles as the primary's liveness
-    /// signal — it is re-sent every mirror tick, and standby takeover
-    /// triggers on the same heartbeat-silence rule workers are held to.
-    ReplicateRoster {
-        /// Worker identity per slot, in slot order.
-        ids: Vec<u64>,
-        /// Current incarnation per slot, in slot order.
-        incarnations: Vec<u64>,
-    },
 }
 
 const TAG_HELLO_WORKER: u8 = 1;
@@ -883,12 +834,8 @@ const TAG_CLUSTER_STATUS_REPLY: u8 = 11;
 const TAG_DRAIN: u8 = 12;
 const TAG_DRAIN_REPLY: u8 = 13;
 const TAG_SHUTDOWN: u8 = 14;
-const TAG_HELLO_STANDBY: u8 = 15;
-const TAG_REPLICATE_PENDING: u8 = 16;
-const TAG_REPLICATE_PROGRESS: u8 = 17;
-const TAG_REPLICATE_RETIRE: u8 = 18;
-const TAG_REPLICATE_CHUNK: u8 = 19;
-const TAG_REPLICATE_ROSTER: u8 = 20;
+// Tags 15..=20 are retired: they decode to `BadTag` and are never
+// reassigned, so no surviving variant changes its byte on the wire.
 const TAG_METRICS: u8 = 21;
 const TAG_METRICS_REPLY: u8 = 22;
 
@@ -911,7 +858,6 @@ impl Message {
                 encode_stats(&mut e, stats);
             }
             Message::HelloClient => e.u8(TAG_HELLO_CLIENT),
-            Message::HelloStandby => e.u8(TAG_HELLO_STANDBY),
             Message::Heartbeat { probe, stats } => {
                 e.u8(TAG_HEARTBEAT);
                 encode_probe(&mut e, probe);
@@ -1006,37 +952,6 @@ impl Message {
                 e.u64(*rpc);
             }
             Message::Shutdown => e.u8(TAG_SHUTDOWN),
-            Message::ReplicatePending {
-                id,
-                request,
-                delivered_tokens,
-            } => {
-                e.u8(TAG_REPLICATE_PENDING);
-                e.u64(*id);
-                request.encode(&mut e);
-                e.u32(*delivered_tokens);
-            }
-            Message::ReplicateProgress {
-                id,
-                delivered_tokens,
-            } => {
-                e.u8(TAG_REPLICATE_PROGRESS);
-                e.u64(*id);
-                e.u32(*delivered_tokens);
-            }
-            Message::ReplicateRetire { id } => {
-                e.u8(TAG_REPLICATE_RETIRE);
-                e.u64(*id);
-            }
-            Message::ReplicateChunk { tokens } => {
-                e.u8(TAG_REPLICATE_CHUNK);
-                e.u32s(tokens);
-            }
-            Message::ReplicateRoster { ids, incarnations } => {
-                e.u8(TAG_REPLICATE_ROSTER);
-                e.u64s(ids);
-                e.u64s(incarnations);
-            }
         }
         e.buf
     }
@@ -1054,7 +969,6 @@ impl Message {
                 stats: decode_stats(&mut d)?,
             },
             TAG_HELLO_CLIENT => Message::HelloClient,
-            TAG_HELLO_STANDBY => Message::HelloStandby,
             TAG_HEARTBEAT => Message::Heartbeat {
                 probe: decode_probe(&mut d)?,
                 stats: decode_stats(&mut d)?,
@@ -1118,21 +1032,6 @@ impl Message {
             TAG_DRAIN => Message::Drain { rpc: d.u64()? },
             TAG_DRAIN_REPLY => Message::DrainReply { rpc: d.u64()? },
             TAG_SHUTDOWN => Message::Shutdown,
-            TAG_REPLICATE_PENDING => Message::ReplicatePending {
-                id: d.u64()?,
-                request: WireRequest::decode(&mut d)?,
-                delivered_tokens: d.u32()?,
-            },
-            TAG_REPLICATE_PROGRESS => Message::ReplicateProgress {
-                id: d.u64()?,
-                delivered_tokens: d.u32()?,
-            },
-            TAG_REPLICATE_RETIRE => Message::ReplicateRetire { id: d.u64()? },
-            TAG_REPLICATE_CHUNK => Message::ReplicateChunk { tokens: d.u32s()? },
-            TAG_REPLICATE_ROSTER => Message::ReplicateRoster {
-                ids: d.u64s()?,
-                incarnations: d.u64s()?,
-            },
             t => return Err(WireError::BadTag(t)),
         };
         d.finish()?;
@@ -1175,7 +1074,6 @@ mod tests {
                 stats: sample_stats(),
             },
             Message::HelloClient,
-            Message::HelloStandby,
             Message::Heartbeat {
                 probe: sample_probe(),
                 stats: sample_stats(),
@@ -1286,30 +1184,6 @@ mod tests {
             Message::Drain { rpc: 5 },
             Message::DrainReply { rpc: 5 },
             Message::Shutdown,
-            Message::ReplicatePending {
-                id: 42,
-                request: WireRequest {
-                    chunk_ids: vec![3, 4],
-                    query: vec![9],
-                    max_new_tokens: 2,
-                    ratio: None,
-                    high_priority: false,
-                    deadline_nanos: None,
-                },
-                delivered_tokens: 5,
-            },
-            Message::ReplicateProgress {
-                id: 42,
-                delivered_tokens: 6,
-            },
-            Message::ReplicateRetire { id: 42 },
-            Message::ReplicateChunk {
-                tokens: vec![1, 2, 3],
-            },
-            Message::ReplicateRoster {
-                ids: vec![11, 22],
-                incarnations: vec![1, 4],
-            },
         ]
     }
 
@@ -1336,6 +1210,61 @@ mod tests {
     fn unknown_tag_is_rejected() {
         assert_eq!(Message::decode(&[0xEE]), Err(WireError::BadTag(0xEE)));
         assert_eq!(Message::decode(&[]), Err(WireError::Truncated));
+    }
+
+    /// The tag byte every variant puts on the wire. The match has no
+    /// wildcard, so a new variant must be pinned here before it compiles.
+    fn pinned_tag(msg: &Message) -> u8 {
+        match msg {
+            Message::HelloWorker { .. } => 1,
+            Message::HelloClient => 2,
+            Message::Heartbeat { .. } => 3,
+            Message::Submit { .. } => 4,
+            Message::Rejected { .. } => 5,
+            Message::Ev { .. } => 6,
+            Message::RegisterChunk { .. } => 7,
+            Message::RegisterReply { .. } => 8,
+            Message::Status { .. } => 9,
+            Message::StatusReply { .. } => 10,
+            Message::ClusterStatusReply { .. } => 11,
+            Message::Drain { .. } => 12,
+            Message::DrainReply { .. } => 13,
+            Message::Shutdown => 14,
+            Message::Metrics { .. } => 21,
+            Message::MetricsReply { .. } => 22,
+        }
+    }
+
+    #[test]
+    fn tag_bytes_are_pinned_and_retired_tags_decode_to_errors() {
+        let mut seen: Vec<u8> = sample_messages()
+            .iter()
+            .map(|msg| {
+                let tag = msg.encode()[0];
+                assert_eq!(tag, pinned_tag(msg), "tag byte of {msg:?} moved");
+                tag
+            })
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let mut live: Vec<u8> = (1..=14).collect();
+        live.extend([21, 22]);
+        assert_eq!(seen, live, "the samples cover every variant");
+
+        // A retired tag is an error whatever follows it: nothing, a
+        // surviving variant's body, or a run of junk.
+        let bodies = [
+            Vec::new(),
+            Message::Metrics { rpc: 7 }.encode()[1..].to_vec(),
+            vec![0xFF; 64],
+        ];
+        for tag in 15u8..=20 {
+            for body in &bodies {
+                let mut payload = vec![tag];
+                payload.extend_from_slice(body);
+                assert_eq!(Message::decode(&payload), Err(WireError::BadTag(tag)));
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   registration/status/drain RPCs and `backoff(n)` to pace
 //!   mid-stream request retries after a worker death;
 //! - [`NetClient`](crate::client::NetClient) uses `rpc_timeout` for its
-//!   RPCs and `backoff(n)` to pace reconnect attempts across its ordered
-//!   endpoint list;
+//!   RPCs, and `max_retries` plus `backoff(n)` to pace the initial dial
+//!   of [`NetClient::connect_endpoints`](crate::client::NetClient::connect_endpoints)
+//!   (a session never redials);
 //! - `cb_worker --retry-attach` uses `backoff(n)` between gateway
 //!   re-attach attempts.
 //!
@@ -25,8 +26,9 @@ pub struct RetryPolicy {
     /// How long a request/reply RPC (chunk registration, status, drain)
     /// waits for its reply before failing with a named timeout error.
     pub rpc_timeout: Duration,
-    /// Mid-stream retries (gateway) or reconnect attempts (client,
-    /// worker) beyond this count give up and surface the failure.
+    /// Mid-stream retries (gateway), initial dial passes (client) or
+    /// re-attach attempts (worker) beyond this count give up and surface
+    /// the failure.
     pub max_retries: u32,
     /// First retry's backoff; doubles per attempt.
     pub backoff_base: Duration,

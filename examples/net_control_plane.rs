@@ -5,21 +5,15 @@
 //! exactly as it would between machines (`cb_gateway` / `cb_worker` are
 //! the same types as standalone binaries).
 //!
-//! Four acts: serve with locality routing, survive a heartbeat
-//! partition, survive a worker "process restart" (re-attach under the
-//! same identity, slot adopted, chunk homes untouched), and survive the
-//! **gateway itself dying** — a warm `Standby` that mirrored the
-//! primary's roster and chunk registry takes over, the workers re-attach
-//! to it, and a client serves requests against the inherited state
-//! without re-registering anything.
+//! Three acts: serve with locality routing, survive a heartbeat
+//! partition, and survive a worker "process restart" (re-attach under
+//! the same identity, slot adopted, chunk homes untouched).
 //!
 //! ```bash
 //! cargo run --release --example net_control_plane
 //! ```
 
-use cacheblend::net::{
-    Gateway, GatewayConfig, NetClient, Standby, TcpTransport, Worker, WorkerConfig,
-};
+use cacheblend::net::{Gateway, GatewayConfig, NetClient, TcpTransport, Worker, WorkerConfig};
 use cacheblend::prelude::*;
 use cacheblend::tokenizer::TokenKind::*;
 use std::sync::Arc;
@@ -44,12 +38,12 @@ fn main() {
         GatewayConfig::default().heartbeat_timeout(Duration::from_millis(400)),
     ));
     {
-        // 5 connections total: two workers, a client, worker 0's
-        // re-attach, and the standby. The thread (and its gateway
-        // handle) ends after the last one.
+        // 4 connections total: two workers, a client, and worker 0's
+        // re-attach. The thread (and its gateway handle) ends after the
+        // last one.
         let gateway = Arc::clone(&gateway);
         std::thread::spawn(move || {
-            for stream in listener.incoming().take(5) {
+            for stream in listener.incoming().take(4) {
                 let conn = TcpTransport::from_stream(stream.expect("accept")).expect("handshake");
                 gateway.accept(Arc::new(conn)).expect("peer accepted");
             }
@@ -155,13 +149,12 @@ fn main() {
     // moves, so the re-attached engine's cache is still the one the
     // router warms.
     let homes: Vec<usize> = ids.iter().map(|&id| gateway.home_of(id)).collect();
-    let worker1_identity = workers[1].identity();
     let (id0, inc0) = workers[0].identity();
     workers.remove(0); // drop the session; the engine in services[0] survives
     while gateway.worker_healthy(0) {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let readopted = Worker::start(
+    let _readopted = Worker::start(
         Arc::clone(&services[0]),
         Arc::new(TcpTransport::connect(addr).expect("worker redials")),
         WorkerConfig::default()
@@ -179,88 +172,5 @@ fn main() {
         "worker 0 re-attached as incarnation {} and adopted its slot (adoptions: {})",
         inc0 + 1,
         gateway.stats().adoptions,
-    );
-
-    // Act four — the gateway itself dies. A warm standby has been
-    // mirroring the roster, chunk registry, and in-flight journal; when
-    // the primary's replication feed goes dead it takes over with chunk
-    // homes intact.
-    let mut standby = Standby::connect(
-        Arc::new(TcpTransport::connect(addr).expect("standby dials primary")),
-        GatewayConfig::default().heartbeat_timeout(Duration::from_millis(400)),
-    )
-    .expect("standby handshake");
-    // The standby pumps the replication feed itself; one window is
-    // plenty for the snapshot to land.
-    while standby.n_chunks() < ids.len() {
-        standby.pump_for(Duration::from_millis(50));
-    }
-    println!(
-        "standby mirroring: {} chunks, {} roster slots",
-        standby.n_chunks(),
-        standby.roster().len(),
-    );
-    let waiter = std::thread::spawn(move || standby.wait_takeover());
-    drop(client);
-    drop(readopted);
-    drop(workers);
-    drop(gateway); // the accept thread already exited after its 5th connection
-    let promoted = Arc::new(waiter.join().expect("standby thread"));
-    println!(
-        "primary dead → standby promoted with {} inherited roster slots (takeovers: {})",
-        promoted.n_workers(),
-        promoted.stats().takeovers,
-    );
-
-    // The promoted gateway binds its own listener; both workers re-attach
-    // under their old identities (next incarnation) and a client resumes.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    {
-        let promoted = Arc::clone(&promoted);
-        std::thread::spawn(move || {
-            for stream in listener.incoming().take(3) {
-                let conn = TcpTransport::from_stream(stream.expect("accept")).expect("handshake");
-                promoted.accept(Arc::new(conn)).expect("peer accepted");
-            }
-        });
-    }
-    let _revived: Vec<Worker> = [(id0, inc0 + 1), worker1_identity]
-        .iter()
-        .zip(&services)
-        .map(|(&(id, inc), service)| {
-            Worker::start(
-                Arc::clone(service),
-                Arc::new(TcpTransport::connect(addr).expect("worker redials standby")),
-                WorkerConfig::default()
-                    .identity(id, inc + 1)
-                    .heartbeat_interval(Duration::from_millis(20)),
-            )
-            .expect("re-attach to promoted gateway")
-        })
-        .collect();
-    while !(promoted.worker_healthy(0) && promoted.worker_healthy(1)) {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let client = NetClient::connect(Arc::new(
-        TcpTransport::connect(addr).expect("client dials promoted gateway"),
-    ))
-    .expect("client handshake");
-    // The chunk ids registered against the dead primary still resolve:
-    // the registry was mirrored, and homes match the primary's.
-    let resp = client
-        .submit(
-            &Request::new(vec![ids[0]], query(0))
-                .ratio(0.45)
-                .max_new_tokens(4),
-        )
-        .expect("promoted gateway serves");
-    let homes_promoted: Vec<usize> = ids.iter().map(|&id| promoted.home_of(id)).collect();
-    assert_eq!(homes_promoted, homes, "takeover must not move chunk homes");
-    println!(
-        "promoted gateway served {} answer tokens from the mirrored registry \
-         (adoptions there: {})",
-        resp.answer.len(),
-        promoted.stats().adoptions,
     );
 }

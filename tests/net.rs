@@ -2,8 +2,8 @@
 //! parity, heartbeat-partition failover (with the idempotent-counting
 //! regression), error-detail preservation across the wire, and the
 //! survivability matrix — worker re-attach/adoption, client-invisible
-//! mid-stream retry (fuzzed across every kill position), and warm-standby
-//! gateway takeover with client resume.
+//! mid-stream retry (fuzzed across every kill position) — and what a
+//! client sees when its gateway connection dies.
 
 use cacheblend::engine::ErrorCode;
 use cacheblend::kv::chunk::ChunkId;
@@ -15,8 +15,8 @@ use cacheblend::net::message::{
     Message, WireEvent, WireFailure, WireRequest, WireResponse, WireTtft,
 };
 use cacheblend::net::{
-    loopback_pair, Gateway, GatewayConfig, LoopbackTransport, NetClient, RetryPolicy, Standby,
-    TcpTransport, Transport, Worker, WorkerConfig,
+    loopback_pair, Gateway, GatewayConfig, LoopbackTransport, NetClient, RetryPolicy, TcpTransport,
+    Transport, Worker, WorkerConfig,
 };
 use cacheblend::prelude::*;
 use cacheblend::scheduler::ServiceProbe;
@@ -479,7 +479,7 @@ fn empty_roster_answers_no_healthy_worker_then_serves() {
 }
 
 // ---------------------------------------------------------------------------
-// Survivability: re-attach, mid-stream retry, standby takeover
+// Survivability: re-attach, mid-stream retry, a dead gateway
 // ---------------------------------------------------------------------------
 
 fn healthy_probe() -> ServiceProbe {
@@ -826,199 +826,60 @@ fn tcp_worker_death_mid_stream_is_invisible_to_the_collector() {
     assert!(gateway.worker_healthy(1));
 }
 
-/// The warm-standby mirror and loopback takeover: a standby converges on
-/// the primary's roster/chunks/journal, detects the primary's death,
-/// resumes with the same slot order (chunk homes unchanged), and serves
-/// the next request after the workers re-attach and adopt — with zero
-/// lost chunk registrations.
-#[test]
-fn standby_mirrors_and_takes_over_without_losing_chunks() {
-    let _guard = serial();
-    let cfg = GatewayConfig::default().heartbeat_timeout(Duration::from_millis(400));
-    let primary = Gateway::new(cfg);
-    let worker_ids = [0xAu64, 0xB];
-    let worker_cfg = WorkerConfig::default().heartbeat_interval(Duration::from_millis(20));
-    let mut workers: Vec<Worker> = (0..2)
-        .map(|i| {
-            let cfg = worker_cfg.identity(worker_ids[i], 1);
-            primary.attach_local(tiny_service(), cfg).unwrap().0
-        })
-        .collect();
-    let (chunks, q) = eval_corpus();
-    let ids = primary.register_chunks(&chunks).unwrap();
-    let homes: Vec<usize> = ids.iter().map(|&id| primary.home_of(id)).collect();
-    let request = seeded_requests(&ids, &q, 1).remove(0);
-    let baseline = primary.submit(request.clone()).expect("primary serves");
-
-    // Subscribe the standby and let the mirror converge.
-    let (standby_end, primary_end) = loopback_pair();
-    let mut standby = Standby::connect(Arc::new(standby_end), cfg).unwrap();
-    primary.accept(Arc::new(primary_end)).unwrap();
-    standby.pump_for(Duration::from_millis(250));
-    assert!(standby.primary_alive());
-    assert_eq!(standby.n_chunks(), chunks.len(), "chunk registry mirrored");
-    assert_eq!(
-        standby.roster(),
-        &[(0xA, 1), (0xB, 1)],
-        "worker roster mirrored in slot order"
-    );
-    assert_eq!(
-        standby.journal_len(),
-        0,
-        "completed requests must be retired from the mirrored journal"
-    );
-
-    // Kill the primary. The standby sees the connection close and
-    // promotes itself with the mirrored state.
-    let waiter = std::thread::spawn(move || standby.wait_takeover());
-    drop(primary);
-    let promoted = Arc::new(waiter.join().unwrap());
-    assert_eq!(promoted.stats().takeovers, 1);
-    assert_eq!(
-        promoted.n_workers(),
-        2,
-        "the inherited roster is materialized as placeholder slots"
-    );
-    for (i, &id) in ids.iter().enumerate() {
-        assert_eq!(
-            promoted.home_of(id),
-            homes[i],
-            "chunk homes must survive the takeover unchanged"
-        );
+/// Plays the gateway's half of a client session up to a mid-stream
+/// sever: takes the hello and one submission, relays the opening of its
+/// stream (no terminal event), then drops the connection with the rest
+/// of the stream still owed.
+fn relay_prefix_then_sever(gateway_end: impl Transport) {
+    assert_eq!(gateway_end.recv().unwrap(), Message::HelloClient);
+    let Message::Submit { id, trace, .. } = gateway_end.recv().unwrap() else {
+        panic!("expected the client's submission");
+    };
+    let events = scripted_events(&[5, 6, 7]);
+    for event in &events[..events.len() - 2] {
+        let frame = Message::Ev {
+            id,
+            trace,
+            event: event.clone(),
+        };
+        gateway_end.send(&frame).unwrap();
     }
-    assert!(
-        !promoted.worker_healthy(0) && !promoted.worker_healthy(1),
-        "placeholder slots are unhealthy until their workers re-attach"
-    );
-
-    // Workers re-attach (reverse order, to prove the index comes from the
-    // identity, not the attach order) and adopt their old slots.
-    for i in [1usize, 0] {
-        promoted
-            .reattach_local(&mut workers[i], i, worker_cfg)
-            .expect("each worker must adopt its original slot");
-        assert_eq!(workers[i].identity(), (worker_ids[i], 2));
-    }
-    assert_eq!(promoted.n_workers(), 2, "adoption never grows the roster");
-    assert_eq!(promoted.stats().adoptions, 2);
-
-    // The very next request serves — the engines kept every registered
-    // chunk, so nothing needs re-registration.
-    let resumed = promoted
-        .submit(request)
-        .expect("the promoted gateway serves the next request");
-    assert_eq!(
-        resumed.answer, baseline.answer,
-        "zero lost chunk registrations: the answer matches the pre-death run"
-    );
 }
 
-/// The full TCP failover story: a primary gateway, a standby, two
-/// workers, and a client holding an ordered endpoint list. The primary
-/// dies; the standby takes over on the second endpoint; the workers
-/// re-attach with bumped incarnations and adopt; the client reconnects
-/// by itself and its next request serves with a bit-identical answer.
+/// Severs `client`'s gateway connection mid-stream (through
+/// `gateway_end`, the gateway's side of it) and checks what the client
+/// promises: the open stream ends in `Canceled`, and a submission made
+/// afterwards fails before `submit_stream` returns, with
+/// `NoHealthyWorker`, instead of waiting on a connection that is gone.
+fn assert_dead_gateway_cancels(client: NetClient, gateway_end: impl Transport) {
+    let request = Request::new(vec![ChunkId(7)], vec![1, 2, 3]).max_new_tokens(3);
+    let open = client.submit_stream(&request);
+    relay_prefix_then_sever(gateway_end);
+    assert_eq!(open.collect().unwrap_err(), EngineError::Canceled);
+
+    let late = client.submit_stream(&request);
+    match late.try_recv() {
+        Some(Event::Failed(EngineError::Remote { code, .. })) => {
+            assert_eq!(code, ErrorCode::NoHealthyWorker);
+        }
+        other => panic!("a submission after the sever must fail at once, got {other:?}"),
+    }
+    assert!(late.recv().is_none(), "the failed stream is closed");
+}
+
+/// A dead gateway connection is final: nothing redials, over loopback
+/// (`NetClient::connect`) or over TCP (`NetClient::connect_endpoints`).
 #[test]
-fn client_resumes_onto_promoted_standby_over_tcp() {
-    let _guard = serial();
-    let cfg = GatewayConfig::default().heartbeat_timeout(Duration::from_millis(400));
-    let listener1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr1 = listener1.local_addr().unwrap();
-    // Reserve the standby's future address up front so the client can
-    // hold the full ordered endpoint list from the start.
-    let addr2 = {
-        let tmp = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        tmp.local_addr().unwrap()
-    };
-    let primary = Arc::new(Gateway::new(cfg));
-    let acceptor = {
-        let primary = Arc::clone(&primary);
-        std::thread::spawn(move || {
-            // Two workers, the standby, then the client.
-            for stream in listener1.incoming().take(4) {
-                let t = TcpTransport::from_stream(stream.unwrap()).unwrap();
-                primary.accept(Arc::new(t)).unwrap();
-            }
-        })
-    };
-    let services: Vec<Arc<EngineService>> = (0..2).map(|_| tiny_service()).collect();
-    let worker_ids = [0xAAu64, 0xBB];
-    let _workers: Vec<Worker> = (0..2)
-        .map(|i| {
-            Worker::start(
-                Arc::clone(&services[i]),
-                Arc::new(TcpTransport::connect(addr1).unwrap()),
-                WorkerConfig::default().identity(worker_ids[i], 1),
-            )
-            .unwrap()
-        })
-        .collect();
-    wait_until("both workers attached", || primary.n_workers() == 2);
-    let standby = Standby::connect(Arc::new(TcpTransport::connect(addr1).unwrap()), cfg).unwrap();
-    let client = NetClient::connect_endpoints(
-        &[addr1.to_string(), addr2.to_string()],
-        RetryPolicy::default()
-            .max_retries(8)
-            .backoff_base(Duration::from_millis(50)),
-    )
-    .unwrap();
-    acceptor.join().unwrap();
+fn dead_gateway_cancels_open_streams_and_fails_later_submits() {
+    let (client_end, gateway_end) = loopback_pair();
+    let client = NetClient::connect(Arc::new(client_end)).unwrap();
+    assert_dead_gateway_cancels(client, gateway_end);
 
-    let (chunks, q) = eval_corpus();
-    let ids: Vec<ChunkId> = chunks
-        .iter()
-        .map(|c| client.register_chunk(c, true).unwrap())
-        .collect();
-    let request = Request::new(vec![ids[2], ids[5]], q)
-        .ratio(0.45)
-        .max_new_tokens(5);
-    let baseline = client
-        .submit(&request)
-        .expect("primary serves the baseline");
-
-    // Promote: kill the primary, wait the takeover out, then open the
-    // standby's listen endpoint and let the cluster re-form on it.
-    let waiter = std::thread::spawn(move || standby.wait_takeover());
-    drop(primary);
-    let promoted = Arc::new(waiter.join().unwrap());
-    assert_eq!(promoted.stats().takeovers, 1);
-    let listener2 = std::net::TcpListener::bind(addr2).expect("standby address still free");
-    let acceptor2 = {
-        let promoted = Arc::clone(&promoted);
-        std::thread::spawn(move || {
-            // Two re-attaching workers plus the resuming client.
-            for stream in listener2.incoming().take(3) {
-                let t = TcpTransport::from_stream(stream.unwrap()).unwrap();
-                promoted.accept(Arc::new(t)).unwrap();
-            }
-        })
-    };
-    let _readopted: Vec<Worker> = (0..2)
-        .map(|i| {
-            Worker::start(
-                Arc::clone(&services[i]),
-                Arc::new(TcpTransport::connect(addr2).unwrap()),
-                WorkerConfig::default().identity(worker_ids[i], 2),
-            )
-            .unwrap()
-        })
-        .collect();
-    wait_until("both workers adopted their slots", || {
-        promoted.worker_healthy(0) && promoted.worker_healthy(1)
-    });
-    assert_eq!(promoted.stats().adoptions, 2);
-
-    // The client redials its endpoint list on its own and the next
-    // request serves — same answer, zero lost chunk registrations.
-    let resumed = client
-        .submit(&request)
-        .expect("the client's next request survives the failover");
-    assert_eq!(
-        resumed.answer, baseline.answer,
-        "the promoted gateway must serve the same answer"
-    );
-    wait_until("client reconnect recorded", || client.reconnects() == 1);
-    acceptor2.join().unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let client = NetClient::connect_endpoints(&[addr], RetryPolicy::default()).unwrap();
+    let gateway_end = TcpTransport::from_stream(listener.accept().unwrap().0).unwrap();
+    assert_dead_gateway_cancels(client, gateway_end);
 }
 
 // ---------------------------------------------------------------------------
