@@ -242,7 +242,7 @@ impl Model {
         delta: &mut Matrix,
         scratch: &mut AttendScratch,
     ) {
-        self.attend_heads(layer, q, q_pos, k_all, v_all, k_pos, true, scratch);
+        let sorted = self.attend_heads(layer, q, q_pos, k_all, v_all, k_pos, true, scratch);
         delta.zero_resize(q.rows(), self.cfg.d_model());
         if let Some(p) = probs_out.as_deref_mut() {
             p.zero_resize(q.rows(), k_all.rows());
@@ -252,8 +252,20 @@ impl Model {
         for hs in &scratch.heads[..n_heads] {
             delta.add_assign(&hs.delta);
             if let Some(p) = probs_out.as_deref_mut() {
-                for (dst, &src) in p.as_mut_slice().iter_mut().zip(hs.scores.as_slice()) {
-                    *dst += src / n_heads as f32;
+                // Past its causal cut a probability row is zero, and the
+                // tiled score kernel leaves that tail unwritten, so only
+                // the live prefix is summed; the rest stays at the `+0.0`
+                // it would sum to.
+                for i in 0..q.rows() {
+                    let live = if sorted {
+                        scratch.cuts[i]
+                    } else {
+                        k_all.rows()
+                    };
+                    let src = &hs.scores.row(i)[..live];
+                    for (dst, &v) in p.row_mut(i).iter_mut().zip(src) {
+                        *dst += v / n_heads as f32;
+                    }
                 }
             }
         }
@@ -280,7 +292,9 @@ impl Model {
 
     /// The per-head stages of [`Model::attend_into`]: the context stage,
     /// then, with `project`, the projection stage into
-    /// `scratch.heads[h].delta`.
+    /// `scratch.heads[h].delta`. Returns whether the key positions were
+    /// sorted, in which case `scratch.cuts` holds each query row's causal
+    /// cut and a probability row is written only below its cut.
     #[allow(clippy::too_many_arguments)]
     fn attend_heads(
         &self,
@@ -292,7 +306,7 @@ impl Model {
         k_pos: &[usize],
         project: bool,
         scratch: &mut AttendScratch,
-    ) {
+    ) -> bool {
         let hd = self.cfg.head_dim;
         let heads = &self.layers[layer].heads;
         scratch.ensure_heads(heads.len());
@@ -329,8 +343,9 @@ impl Model {
                 Some(c) => {
                     // Masked scores are never computed: row i gets dots
                     // only for keys below its causal cutoff (scale folded
-                    // into the store), the tail is exact 0.0 (so the
-                    // context product skips it too).
+                    // into the store). The tiled kernel writes nothing
+                    // past the cut: the softmax and the context product
+                    // read a row only below it.
                     let scores = &mut hs.scores;
                     match keys {
                         Some(kp) => {
@@ -351,7 +366,7 @@ impl Model {
                 }
             }
             // The causal cuts bound the context product too: each row tile
-            // packs only the keys below its rows' largest cut.
+            // reads only the keys below its rows' largest cut.
             hs.scores.matmul_cols_into(v_all, lo, hi, cuts, &mut hs.ctx);
             if project {
                 hs.ctx.matmul_into(&head.wo, &mut hs.delta);
@@ -380,6 +395,7 @@ impl Model {
                 run_head(h, hs);
             }
         }
+        sorted
     }
 
     /// Runs the full stack over `tokens` at `positions`, appending their KV

@@ -12,12 +12,14 @@
 //! --retry-attach` workers re-attach once a gateway listens on the same
 //! address again.
 //!
-//! `--chaos` extends the smoke into a fault drill: it keeps a stream of
-//! concurrent requests in flight for several seconds while an **external
-//! injector** (the CI script) SIGKILLs one worker mid-run, then asserts
-//! that every request still completed and that at least one mid-stream
-//! retry happened. Run it without killing a worker and it exits 1 — the
-//! drill is meaningless without the fault.
+//! `--chaos` extends the smoke into a fault drill: it registers one
+//! chunk, prints a `{"chaos_home": …}` line naming the slot and the
+//! worker id (as `cb_worker` logs it) of that chunk's home, and then
+//! keeps a stream of concurrent requests on the home for several seconds
+//! while an **external injector** (the CI script) SIGKILLs that worker
+//! mid-run. It then asserts that every request still completed and that
+//! at least one mid-stream retry happened. Killing the other worker
+//! strands nothing, and killing none fails the drill: it exits 1.
 //!
 //! CI runs the smoke as: start `cb_gateway … --smoke` plus two
 //! `cb_worker` processes, then wait on the gateway's exit status.
@@ -97,6 +99,13 @@ fn chaos_smoke(gateway: &Gateway, client: &NetClient) {
     let id = client
         .register_chunk(&chunk, true)
         .expect("chunk registers cluster-wide");
+    // The injector kills the chunk's home: every request runs there, so
+    // the kill strands whatever is in flight.
+    let home = gateway.home_of(id);
+    println!(
+        "{{\"chaos_home\": {{\"slot\": {home}, \"worker\": \"{:#018x}\"}}}}",
+        gateway.worker_id(home)
+    );
     let window = Duration::from_secs(6);
     let start = Instant::now();
     let mut completed = 0u64;

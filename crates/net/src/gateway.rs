@@ -573,6 +573,12 @@ impl GwInner {
         self.publish_metrics();
         let mut waits = Vec::new();
         for slot in self.slots() {
+            // A worker whose connection already died cannot reply, and a
+            // TCP send to it may still succeed locally: asking would only
+            // wait out the RPC timeout.
+            if !slot.state.lock().unwrap().connected {
+                continue;
+            }
             let rpc = self.next_id.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = channel::bounded(1);
             self.rpcs.lock().unwrap().insert(rpc, tx);
@@ -1400,6 +1406,12 @@ impl Gateway {
     pub fn worker_healthy(&self, index: usize) -> bool {
         let slot = self.inner.slots()[index].clone();
         self.inner.refresh_slot(&slot)
+    }
+
+    /// The identity worker `index` announced in its `HelloWorker` (kept
+    /// across re-attaches; a worker process logs it when it attaches).
+    pub fn worker_id(&self, index: usize) -> u64 {
+        self.inner.slots()[index].id
     }
 
     /// The stable home worker of a chunk (health never moves homes).

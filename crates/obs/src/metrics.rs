@@ -247,9 +247,15 @@ impl HistSnapshot {
     }
 
     /// Adds `other`'s buckets into `self`. Panics if the resolutions
-    /// differ (all histograms in this workspace use one γ per name).
+    /// differ (all histograms in this workspace use one γ per name). A
+    /// default-constructed `self` (`sub_bits` 0, which no histogram has)
+    /// takes `other`'s resolution even when `other` is empty, so the
+    /// merge encodes.
     pub fn merge(&mut self, other: &HistSnapshot) {
         if other.count == 0 {
+            if self.sub_bits == 0 {
+                self.sub_bits = other.sub_bits;
+            }
             return;
         }
         if self.count == 0 {
@@ -667,6 +673,20 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merging_an_empty_histogram_into_a_snapshot_without_it_encodes() {
+        // An idle worker's registry holds a histogram nothing recorded
+        // into; the gateway's snapshot lacks it.
+        let worker = Registry::new();
+        worker.histogram_with_sub_bits("cb_idle_seconds", 7);
+        let mut merged = Registry::new().snapshot();
+        merged.merge(&worker.snapshot());
+        let idle = merged.hist("cb_idle_seconds").expect("merged histogram");
+        assert_eq!((idle.count, idle.sub_bits), (0, 7));
+        let decoded = MetricsSnapshot::decode(&merged.encode()).expect("the merge decodes");
+        assert_eq!(decoded, merged);
+    }
 
     #[test]
     fn linear_buckets_are_exact() {

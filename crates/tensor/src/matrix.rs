@@ -19,10 +19,17 @@
 //!   rows' largest limit. A single remaining row (a decode step's
 //!   product) packs nothing: `zmm` builds hold its 64-column blocks in
 //!   registers for the whole `k` loop, and the columns left over run as
-//!   an AXPY over the output row. Per
+//!   an AXPY over the output row. Attention's context product at head
+//!   dim 64 (64 columns over every `k`, with limits) packs nothing either
+//!   in `zmm` builds: the tile reads each row in place below its limit, a
+//!   block of 16 `k` at a time, finding the block's live `k` with one
+//!   vector compare per row. Per
 //!   element: start at `+0.0`, then `acc = b.mul_add(a, acc)` over the
 //!   participating `k` in ascending order, skipping a `k` at
-//!   which the tile's whole `a` column is zero (exact: it adds `±0.0`).
+//!   which the tile's whole `a` column is zero (exact: it adds `±0.0`,
+//!   which changes no accumulator but a `-0.0`, and only a product that
+//!   underflows to zero can leave one; operands that do, like non-finite
+//!   ones, are outside the contract).
 //!   Since no step depends on the tile shape, the result is bit-identical
 //!   for every shape, row partition and thread count. A one-time density
 //!   probe cached per matrix lets the `k` loop skip a left operand's
@@ -37,8 +44,9 @@
 //!   dims. Two paths produce those bits. With at least
 //!   [`SCORE_TILE_MIN_ROWS`] query rows the keys are laid out as
 //!   [`KeyPanels`] (`Kᵀ` in 16-key panels) and tiles of 4 query rows × 16
-//!   keys (two panels in `zmm` tiles, when the head dim is a multiple of
-//!   16) hold one lane's accumulators for 16 keys side by side; below it
+//!   keys (in `zmm` builds at head dim 64, every compiled model's: 6 rows
+//!   × two panels, each lane's four products unrolled) hold one lane's accumulators
+//!   for 16 keys side by side; below it
 //!   (decode's single row) the dot kernel runs, because the layout would
 //!   cost more than the tiles save. In `zmm` builds, when the head dim is
 //!   a multiple of 16, the dot kernel takes 16 keys at a time, one `zmm`
@@ -541,11 +549,13 @@ impl Matrix {
     /// context kernel `P × V_h` over a head's columns.
     ///
     /// With `limits`, row `i` of `self` reads as zero from column
-    /// `limits[i]` on: the causal cut of a probability row whose tail is
-    /// exact `0.0` already. Each register tile then packs and runs only
-    /// the `k` below its rows' largest limit; since the GEMM contract drops
-    /// a `k` at which the tile's `a` column is zero anyway, the bits are
-    /// those of the product without limits.
+    /// `limits[i]` on, whatever it holds there: the causal cut of a
+    /// probability row, past which [`Matrix::matmul_key_panels_limited_into`]
+    /// writes nothing. Each register tile then runs only the `k` below its
+    /// rows' largest limit; since the GEMM contract drops a `k` at which the
+    /// tile's `a` column is zero anyway, the bits are those of the product
+    /// with the rows cut to zero. In `zmm` builds a 64-column product with
+    /// limits reads a tile's rows in place instead of packing them.
     ///
     /// # Panics
     ///
@@ -675,6 +685,9 @@ impl Matrix {
             let mut keys = KeyPanels::default();
             keys.pack_block(rhs, lo, hi);
             self.scores_tiled_into(&keys, lo, hi, 0, limits, scale, out);
+            for (i, &l) in limits.iter().enumerate() {
+                out.row_mut(i)[l..].fill(0.0);
+            }
         } else {
             self.scores_dot_into(rhs, lo, hi, limits, scale, out);
         }
@@ -768,6 +781,12 @@ impl Matrix {
     /// key, and dims `lo..hi` of it pair with columns `lo..hi` of `self`.
     /// Always runs the tiled kernel, whatever the row count.
     ///
+    /// This is the attention path's score kernel, and it writes no zero
+    /// tails: row `i` holds `scale · dot` below `limits[i]` and unspecified
+    /// values from there on. Its readers, the softmax and the context
+    /// product ([`Matrix::matmul_cols_into`] with the same limits), read a
+    /// row only below its limit.
+    ///
     /// # Panics
     ///
     /// Panics if `keys` is not `self.cols()` wide, `limits.len() !=
@@ -786,7 +805,8 @@ impl Matrix {
     }
 
     /// The tiled score kernel: columns `lo..hi` of `self` against dims
-    /// `key_lo..key_lo + hi - lo` of `keys`.
+    /// `key_lo..key_lo + hi - lo` of `keys`, row `i` written below
+    /// `limits[i]` only.
     #[allow(clippy::too_many_arguments)]
     fn scores_tiled_into(
         &self,
@@ -817,6 +837,11 @@ impl Matrix {
             limits,
             scale,
         };
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        if job.hd == zmm::HD {
+            zmm::scores(&job, &mut out.data);
+            return;
+        }
         let mut panel = vec![0.0f32; SQ * job.hd];
         let full = self.rows - self.rows % SQ;
         for i in (0..full).step_by(SQ) {
@@ -1228,6 +1253,10 @@ fn gemm_row_tile<const R: usize>(
     let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * g.lda..(i + r + 1) * g.lda]);
     let lim: [usize; R] = std::array::from_fn(|r| g.limit(i + r));
     let nk = g.ks_below(lim.iter().copied().max().unwrap_or(0));
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    if zmm::gemm_in_place::<R>(g, &rows, &lim, nk, out) {
+        return;
+    }
     let mut n_live = 0;
     for idx in 0..nk {
         let k = match *g.ks {
@@ -1305,11 +1334,12 @@ fn gemm_row_over(
 /// The per-element contract, which every tile shape keeps: output
 /// `(i, j)` starts at `+0.0` and runs `acc = b[k][j].mul_add(a[i][k], acc)`
 /// over `ks` in ascending order. A `k` at which all `R` rows of `a` are
-/// zero was dropped by the packing; that is exact, because accumulators
-/// start at `+0.0`
-/// and adding the `±0.0` product leaves every finite accumulator's bits
-/// unchanged. So the result is the same for every tile height, column
-/// tiling and row partition across the thread pool.
+/// zero was dropped by the packing (or, read in place, by its block's
+/// live mask); that is exact, because accumulators start at `+0.0` and
+/// adding the `±0.0` product leaves every finite accumulator's bits
+/// unchanged but a `-0.0` one, which only a product underflowing to zero
+/// leaves (see the module doc). So the result is the same for every tile
+/// height, column tiling and row partition across the thread pool.
 #[inline(always)]
 fn gemm_tile<const R: usize, const C: usize>(
     g: &Gemm<'_>,
@@ -1424,11 +1454,10 @@ struct Scores<'a> {
 }
 
 /// Query rows `i..i + R` of a [`Scores`] call: packs the rows' values
-/// dim by dim into `panel`, runs key tiles up to the largest limit of the
-/// `R` rows (the last one stores only the keys below it), then writes each
-/// row's exact-zero tail, which also overwrites what the shared tiles
-/// computed past a smaller limit. AVX-512 builds run the key tiles in
-/// `zmm` registers when the head dim is whole 16-lane chunks.
+/// dim by dim into `panel` and runs key tiles up to the largest limit of
+/// the `R` rows (the last one stores only the keys below it). Past a
+/// smaller limit a row holds what the shared tiles computed there.
+/// (AVX-512 builds run 64-dim heads in `zmm` tiles of their own instead.)
 fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32], out: &mut [f32]) {
     let jn = job.keys.keys;
     let (qt, _) = panel[..R * job.hd].as_chunks_mut::<R>();
@@ -1438,10 +1467,6 @@ fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32]
     let lim = &job.limits[i..i + R];
     let end = lim.iter().copied().max().unwrap_or(0);
     let mut j = 0;
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-    if job.hd.is_multiple_of(LANES) {
-        j = zmm::scores_keys::<R>(job, qt, i, end, out);
-    }
     while j < end {
         let s = score_tile::<R>(qt, job.keys.panel(j / SK, job.key_lo, job.hd));
         let n = SK.min(end - j);
@@ -1451,9 +1476,6 @@ fn scores_row_tile<const R: usize>(job: &Scores<'_>, i: usize, panel: &mut [f32]
             }
         }
         j += SK;
-    }
-    for (r, &l) in lim.iter().enumerate() {
-        out[(i + r) * jn + l..(i + r + 1) * jn].fill(0.0);
     }
 }
 
@@ -1505,19 +1527,26 @@ fn score_tile<const R: usize>(qt: &[[f32; R]], kp: &[[f32; SK]]) -> [[f32; SK]; 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod zmm {
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_fmadd_ps,
-        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
-        _mm512_unpacklo_pd, _mm512_unpacklo_ps,
+        __m512, __mmask16, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_cmp_ps_mask,
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_storeu_ps,
+        _mm512_unpackhi_pd, _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpacklo_ps,
+        _CMP_NEQ_UQ,
     };
 
-    use super::{Gemm, Scores, LANES, SK};
+    use super::{Gemm, KSet, Scores, LANES, SK};
 
     /// Lanes of a `zmm` register.
     const W: usize = 16;
     /// Columns of the GEMM tile: four `zmm` accumulators per row, so the
     /// six-row tile holds 24 of the 32 `zmm` registers.
     const NR: usize = 4 * W;
+    /// The head dim of the `zmm` score tiles ([`scores`]): every compiled
+    /// model's.
+    pub(super) const HD: usize = 64;
+    /// Query rows of the `zmm` score tile: against two key panels, its
+    /// lane accumulators and sums hold 24 of the 32 `zmm` registers.
+    const QR: usize = 6;
 
     // The safe entry points: each calls the `avx512f` kernels, which is
     // sound because this module is compiled only into builds that target
@@ -1569,16 +1598,46 @@ mod zmm {
         j
     }
 
-    /// See [`scores_row_tile`].
-    pub(super) fn scores_keys<const R: usize>(
-        job: &Scores<'_>,
-        qt: &[[f32; R]],
-        i: usize,
+    /// The [`super::Scores`] call of a 64-dim head (every compiled
+    /// model's; other head dims run the portable tiles), in tiles of [`QR`]
+    /// query rows and one remainder tile.
+    pub(super) fn scores(job: &Scores<'_>, out: &mut [f32]) {
+        assert_eq!(job.hd, HD);
+        let m = job.limits.len();
+        let full = m - m % QR;
+        for i in (0..full).step_by(QR) {
+            // SAFETY: an AVX-512F build (see above).
+            unsafe { scores_tile::<QR>(job, i, out) };
+        }
+        // SAFETY (each arm): an AVX-512F build (see above).
+        match m - full {
+            0 => {}
+            1 => unsafe { scores_tile::<1>(job, full, out) },
+            2 => unsafe { scores_tile::<2>(job, full, out) },
+            3 => unsafe { scores_tile::<3>(job, full, out) },
+            4 => unsafe { scores_tile::<4>(job, full, out) },
+            5 => unsafe { scores_tile::<5>(job, full, out) },
+            _ => unreachable!("remainder of a division by QR"),
+        }
+    }
+
+    /// [`super::gemm_row_tile`]'s rows `i..i + R` without the packing, for
+    /// the one product it was measured on: attention's context product at
+    /// head dim 64 (64 columns over every `k`, each row cut at its limit).
+    /// `end` is the tile's largest limit. Returns whether it ran.
+    pub(super) fn gemm_in_place<const R: usize>(
+        g: &Gemm<'_>,
+        rows: &[&[f32]; R],
+        lim: &[usize; R],
         end: usize,
         out: &mut [f32],
-    ) -> usize {
+    ) -> bool {
+        if g.n != NR || !matches!(g.ks, KSet::All(_)) || g.limits.is_none() {
+            return false;
+        }
         // SAFETY: an AVX-512F build (see above).
-        unsafe { scores_row_tile::<R>(job, qt, i, end, out) }
+        unsafe { gemm_rows_in_place::<R>(g, rows, lim, end, out) };
+        true
     }
 
     /// See [`scores_row_dot`].
@@ -1805,23 +1864,106 @@ mod zmm {
         }
     }
 
-    /// The key loop of [`super::scores_row_tile`] for a head dim that is
-    /// whole [`LANES`]-lane chunks: keys `0..end` against the query rows
-    /// `i..i + R` packed in `qt`, two key panels at a time, with the
-    /// scaled stores of each row's keys below `end`. Returns the first key
-    /// it did not store (`end`, rounded up to a panel).
+    /// [`super::gemm_tile`] for `R` rows × 64 columns with `a` read in
+    /// place, in the same per-element order. The rows' `k < end` go in
+    /// blocks of 16: one masked load per row reads the block below the
+    /// row's limit and `+0.0` past it (the packing's values, so nothing
+    /// past a limit is ever read), one compare of those finds the block's
+    /// live `k` (where some row is non-zero, the packing's test), and each
+    /// live `k` in ascending order broadcasts the rows' values into four
+    /// `zmm` accumulators per row, stored once. A block of zeros (most of
+    /// a peaked head's probabilities) costs its loads and compares.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn scores_row_tile<const R: usize>(
-        job: &Scores<'_>,
-        qt: &[[f32; R]],
-        i: usize,
+    fn gemm_rows_in_place<const R: usize>(
+        g: &Gemm<'_>,
+        rows: &[&[f32]; R],
+        lim: &[usize; R],
         end: usize,
         out: &mut [f32],
-    ) -> usize {
+    ) {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &rows[r][..end]);
+        assert!(
+            end == 0 || (end - 1) * g.ldb + g.bcol + NR <= g.b.len(),
+            "in-place tile reads past b"
+        );
+        let mut acc = [[_mm512_setzero_ps(); 4]; R];
+        // The current block's values, row by row.
+        let mut blk = [[0.0f32; W]; R];
+        for k0 in (0..end).step_by(W) {
+            let lanes = (u32::MAX >> (32 - W.min(end - k0))) as __mmask16;
+            let mut live: __mmask16 = 0;
+            for ((row, &l), dst) in rows.iter().zip(lim).zip(&mut blk) {
+                let n = l.min(end).saturating_sub(k0).min(W);
+                let below = ((1u32 << n) - 1) as __mmask16;
+                // SAFETY: the mask enables only lanes `k0 .. min(l, end)`,
+                // all inside `row`; masked-off lanes touch no memory.
+                let v = unsafe { _mm512_maskz_loadu_ps(below, row.as_ptr().add(k0)) };
+                // SAFETY: `dst` is a `[f32; 16]`, exactly one `zmm` store.
+                unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) };
+                live |= _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_ps());
+            }
+            // One `k` of the product (a macro, so that both loops below
+            // keep the accumulators in registers).
+            macro_rules! step {
+                ($k:expr) => {{
+                    let k = $k;
+                    // SAFETY: `k < end`, and the assert above puts the 64
+                    // floats from `k·ldb + bcol` inside `g.b`.
+                    let bk = unsafe { g.b.as_ptr().add(k * g.ldb + g.bcol) };
+                    let bv: [__m512; 4] = std::array::from_fn(|c| {
+                        // SAFETY: `bk + 16c .. bk + 16c + 16` lies in the
+                        // 64 floats asserted above (`c < 4`).
+                        unsafe { _mm512_loadu_ps(bk.add(W * c)) }
+                    });
+                    for (ar, vals) in acc.iter_mut().zip(&blk) {
+                        let a = _mm512_set1_ps(vals[k % W]);
+                        for (x, &b) in ar.iter_mut().zip(&bv) {
+                            *x = _mm512_fmadd_ps(b, a, *x);
+                        }
+                    }
+                }};
+            }
+            if live == lanes {
+                for k in k0..k0 + W.min(end - k0) {
+                    step!(k);
+                }
+            } else {
+                let mut bits = u32::from(live);
+                while bits != 0 {
+                    step!(k0 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        for (r, ar) in acc.iter().enumerate() {
+            let dst = &mut out[r * g.n..][..NR];
+            for (c, &x) in ar.iter().enumerate() {
+                // SAFETY: `dst` holds 64 floats, so `16c .. 16c + 16` is
+                // inside it (`c < 4`).
+                unsafe { _mm512_storeu_ps(dst.as_mut_ptr().add(W * c), x) };
+            }
+        }
+    }
+
+    /// Query rows `i..i + R` of a 64-dim [`scores`] call: packs the rows'
+    /// dims side by side and runs [`score_tile`] over the key panels up to
+    /// the rows' largest limit, with the scaled stores of the keys below
+    /// it.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn scores_tile<const R: usize>(job: &Scores<'_>, i: usize, out: &mut [f32]) {
         let jn = job.keys.keys;
+        let qt: [[f32; R]; HD] =
+            std::array::from_fn(|d| std::array::from_fn(|r| job.q[(i + r, job.lo + d)]));
+        let end = job.limits[i..i + R].iter().copied().max().unwrap_or(0);
         let scale = _mm512_set1_ps(job.scale);
-        let panel = |j: usize| job.keys.panel(j / SK, job.key_lo, job.hd);
+        let panel = |j: usize| -> &[[f32; SK]; HD] {
+            job.keys
+                .panel(j / SK, job.key_lo, HD)
+                .try_into()
+                .expect("64 dims")
+        };
         let mut store = |j: usize, s: &[__m512; R]| {
             let n = SK.min(end - j);
             for (r, &x) in s.iter().enumerate() {
@@ -1830,17 +1972,53 @@ mod zmm {
         };
         let mut j = 0;
         while j + SK < end {
-            let [s0, s1] = score_tile::<R, 2>(qt, [panel(j), panel(j + SK)]);
+            let [s0, s1] = score_tile::<R, 2>(&qt, [panel(j), panel(j + SK)]);
             store(j, &s0);
             store(j + SK, &s1);
             j += 2 * SK;
         }
         if j < end {
-            let [s] = score_tile::<R, 1>(qt, [panel(j)]);
+            let [s] = score_tile::<R, 1>(&qt, [panel(j)]);
             store(j, &s);
-            j += SK;
         }
-        j
+    }
+
+    /// Unscaled [`super::score_tile`] of `R` query rows against `P` key
+    /// panels at once for a 64-dim head, one query row's 16 keys of a
+    /// panel in one `zmm`: lane `t`'s `R × P` accumulators run their four
+    /// fused products (dims `t, t + 16, t + 32, t + 48`, a fixed-length
+    /// loop the compiler unrolls) from `+0.0` and are added into the sums
+    /// in lane order. Each `q` broadcast feeds `P` FMAs.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn score_tile<const R: usize, const P: usize>(
+        qt: &[[f32; R]; HD],
+        kps: [&[[f32; SK]; HD]; P],
+    ) -> [[__m512; R]; P] {
+        let mut s = [[_mm512_setzero_ps(); R]; P];
+        for t in 0..LANES {
+            let mut acc = [[_mm512_setzero_ps(); R]; P];
+            for c in 0..HD / LANES {
+                let d = c * LANES + t;
+                let kv: [__m512; P] = std::array::from_fn(|p| {
+                    // SAFETY: `kps[p][d]` is a `[f32; 16]`, exactly one
+                    // `zmm` load.
+                    unsafe { _mm512_loadu_ps(kps[p][d].as_ptr()) }
+                });
+                for (r, &q) in qt[d].iter().enumerate() {
+                    let q = _mm512_set1_ps(q);
+                    for (ap, &k) in acc.iter_mut().zip(&kv) {
+                        ap[r] = _mm512_fmadd_ps(q, k, ap[r]);
+                    }
+                }
+            }
+            for (sp, ap) in s.iter_mut().zip(&acc) {
+                for (sr, &x) in sp.iter_mut().zip(ap) {
+                    *sr = _mm512_add_ps(*sr, x);
+                }
+            }
+        }
+        s
     }
 
     /// Stores the first `dst.len()` (at most 16) lanes of `x` into `dst`.
@@ -1852,52 +2030,6 @@ mod zmm {
         // SAFETY: the mask enables only the first `dst.len()` lanes, all
         // inside `dst`; masked-off lanes touch no memory.
         unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, x) };
-    }
-
-    /// Unscaled [`super::score_tile`] against `P` key panels at once, with
-    /// one query row's 16 keys of a panel in one `zmm`; the head dim must
-    /// be whole [`LANES`]-lane chunks (no unfused tail). Each `q`
-    /// broadcast feeds `P` FMAs.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn score_tile<const R: usize, const P: usize>(
-        qt: &[[f32; R]],
-        kps: [&[[f32; SK]]; P],
-    ) -> [[__m512; R]; P] {
-        let hd = kps.iter().fold(qt.len(), |hd, kp| hd.min(kp.len()));
-        assert!(
-            hd.is_multiple_of(LANES),
-            "zmm score tile has no unfused tail"
-        );
-        let qt = &qt[..hd];
-        let kps = kps.map(|kp| &kp[..hd]);
-        let mut s = [[_mm512_setzero_ps(); R]; P];
-        // G lanes at a time, so G × P × R accumulators are in flight.
-        const G: usize = 2;
-        for t0 in (0..LANES).step_by(G) {
-            let mut acc = [[[_mm512_setzero_ps(); R]; P]; G];
-            for c in (0..hd).step_by(LANES) {
-                for (g, ag) in acc.iter_mut().enumerate() {
-                    let d = c + t0 + g;
-                    for (ap, kp) in ag.iter_mut().zip(&kps) {
-                        // SAFETY: `kp[d]` is a `[f32; 16]`, exactly one
-                        // `zmm` load.
-                        let kv = unsafe { _mm512_loadu_ps(kp[d].as_ptr()) };
-                        for (x, &q) in ap.iter_mut().zip(&qt[d]) {
-                            *x = _mm512_fmadd_ps(_mm512_set1_ps(q), kv, *x);
-                        }
-                    }
-                }
-            }
-            for ag in &acc {
-                for (sp, ap) in s.iter_mut().zip(ag) {
-                    for (sr, &x) in sp.iter_mut().zip(ap) {
-                        *sr = _mm512_add_ps(*sr, x);
-                    }
-                }
-            }
-        }
-        s
     }
 }
 
@@ -1921,6 +2053,7 @@ impl IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
 
     #[test]
     fn zeros_has_expected_shape_and_content() {
@@ -1998,6 +2131,22 @@ mod tests {
         );
         for (n, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {n}: {x} vs {y}");
+        }
+    }
+
+    /// [`assert_bits`] over what the attention score entry writes: row `i`
+    /// below `limits[i]`.
+    fn assert_live_bits(got: &Matrix, want: &Matrix, limits: &[usize], what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        for (i, &end) in limits.iter().enumerate() {
+            for j in 0..end {
+                let (x, y) = (got[(i, j)], want[(i, j)]);
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: ({i}, {j}): {x} vs {y}");
+            }
         }
     }
 
@@ -2342,8 +2491,11 @@ mod tests {
                     assert_bits(&out, &want, &format!("dispatch, {what}"));
                     q.scores_dot_into(&kmat, lo, hi, &limits, scale, &mut out);
                     assert_bits(&out, &want, &format!("dot, {what}"));
+                    // The attention entry writes each row only below its
+                    // limit, whatever the buffer held (NaN here).
+                    out = Matrix::from_fn(rows, keys, |_, _| f32::NAN);
                     q.matmul_key_panels_limited_into(&panels, lo, hi, &limits, scale, &mut out);
-                    assert_bits(&out, &want, &format!("tiled, {what}"));
+                    assert_live_bits(&out, &want, &limits, &format!("tiled, {what}"));
                 }
             }
         }
@@ -2389,6 +2541,191 @@ mod tests {
                         );
                         assert_bits(&out, &want, &format!("dispatch, {what}"));
                     }
+                }
+            }
+        }
+    }
+
+    /// The attention score contract in scalar form: row `i`, key `j`
+    /// below `limits[i]` is `dot1` over dims `lo..hi`, times the scale;
+    /// the rest is `+0.0`.
+    fn scores_reference(
+        q: &Matrix,
+        k: &Matrix,
+        (lo, hi): (usize, usize),
+        limits: &[usize],
+        scale: f32,
+    ) -> Matrix {
+        Matrix::from_fn(q.rows(), k.rows(), |i, j| {
+            if j < limits[i] {
+                dot1(&q.row(i)[lo..hi], &k.row(j)[lo..hi]) * scale
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// The context product's contract in scalar form: `+0.0`, then
+    /// `acc = v.mul_add(p, acc)` over every `k` below the row's limit in
+    /// ascending order, skipping nothing, on columns `lo..hi` of `v`.
+    fn context_reference(
+        p: &Matrix,
+        v: &Matrix,
+        (lo, hi): (usize, usize),
+        limits: &[usize],
+    ) -> Matrix {
+        Matrix::from_fn(p.rows(), hi - lo, |i, c| {
+            (0..limits[i]).fold(0.0f32, |acc, k| v[(k, lo + c)].mul_add(p[(i, k)], acc))
+        })
+    }
+
+    /// A seeded stream of kernel operands.
+    struct Operands(u64);
+
+    impl Operands {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Mostly values in ±2 in steps of 0.001; one in 16 each `+0.0`
+        /// and `-0.0`, and with `subnormals` one in 16 a subnormal of
+        /// either sign at least 2^-135 in magnitude. Such a subnormal
+        /// times a non-zero value of this stream does not underflow to
+        /// zero, so an accumulator never holds `-0.0`, the one case in
+        /// which skipping a zero product could change a bit.
+        fn value(&mut self, subnormals: bool) -> f32 {
+            let x = self.next();
+            match x % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2 if subnormals => {
+                    let mantissa = (1 << 14) + (x >> 8) as u32 % ((1 << 23) - (1 << 14));
+                    let sign = ((x >> 40) as u32 & 1) << 31;
+                    f32::from_bits(sign | mantissa)
+                }
+                _ => ((x >> 8) % 4001) as f32 / 1000.0 - 2.0,
+            }
+        }
+
+        fn matrix(&mut self, rows: usize, cols: usize, subnormals: bool) -> Matrix {
+            Matrix::from_fn(rows, cols, |_, _| self.value(subnormals))
+        }
+
+        /// Sorted causal cuts in `0..=keys`, with the first and the last
+        /// key count among them when there is room.
+        fn cuts(&mut self, rows: usize, keys: usize) -> Vec<usize> {
+            let mut cuts: Vec<usize> = (0..rows).map(|_| self.below(keys + 1)).collect();
+            if rows > 2 {
+                cuts[0] = 0;
+                cuts[1] = keys;
+            }
+            cuts.sort_unstable();
+            cuts
+        }
+
+        /// Probability-like rows over `keys` columns: dense, peaked (three
+        /// non-zeros) or dense with long exact-zero runs, by row.
+        fn probabilities(&mut self, rows: usize, keys: usize) -> Matrix {
+            let mut p = self.matrix(rows, keys, true);
+            for i in 0..rows {
+                let row = p.row_mut(i);
+                match i % 3 {
+                    0 => {}
+                    1 => {
+                        let keep: [usize; 3] = std::array::from_fn(|_| self.below(keys));
+                        for (k, v) in row.iter_mut().enumerate() {
+                            if !keep.contains(&k) {
+                                *v = 0.0;
+                            }
+                        }
+                    }
+                    _ => {
+                        for run in row.chunks_mut(23) {
+                            if self.below(2) == 0 {
+                                run.fill(0.0);
+                            }
+                        }
+                    }
+                }
+            }
+            p
+        }
+    }
+
+    #[test]
+    fn attention_kernels_match_their_references_across_shapes() {
+        // Every row count of the 6- and 4-row score tiles and of the
+        // context product's 6-row tile (remainders 1..=5), against key
+        // counts 1..=140 (every 16-key panel remainder, one and two panels
+        // per pass), on a head block at `lo > 0`.
+        let mut ops = Operands(0x5EED_CAFE_F00D_D00D);
+        let scale = 0.125;
+        let (hd, width) = (64, 3 * 64);
+        let head = (hd, 2 * hd);
+        let mut panels = KeyPanels::default();
+        let mut out = Matrix::zeros(0, 0);
+        for keys in 1..=140 {
+            let k = ops.matrix(keys, width, true);
+            let v = ops.matrix(keys, width, false);
+            panels.pack(&k);
+            for rows in 1..=13 {
+                let what = format!("{rows} rows x {keys} keys");
+                let q = ops.matrix(rows, width, true);
+                let cuts = ops.cuts(rows, keys);
+                let want = scores_reference(&q, &k, head, &cuts, scale);
+                q.matmul_transposed_block_limited_into(&k, head.0, head.1, &cuts, scale, &mut out);
+                assert_bits(&out, &want, &format!("block scores, {what}"));
+                out = Matrix::from_fn(rows, keys, |_, _| f32::NAN);
+                q.matmul_key_panels_limited_into(&panels, head.0, head.1, &cuts, scale, &mut out);
+                assert_live_bits(&out, &want, &cuts, &format!("tiled scores, {what}"));
+
+                // The attention chain on a poisoned buffer: past a row's
+                // cut it holds NaN, which the context product must not read.
+                let mut probs = want.clone();
+                for (i, &cut) in cuts.iter().enumerate() {
+                    ops::softmax_prefix_fast(out.row_mut(i), cut);
+                    ops::softmax_prefix_fast(probs.row_mut(i), cut);
+                }
+                let mut ctx = Matrix::zeros(0, 0);
+                out.matmul_cols_into(&v, head.0, head.1, Some(&cuts), &mut ctx);
+                let want_ctx = context_reference(&probs, &v, head, &cuts);
+                assert_bits(&ctx, &want_ctx, &format!("attention chain, {what}"));
+
+                // Probability rows with zero runs, signed zeros and
+                // subnormals, cut with zeros, values or NaN past the cut,
+                // on a 64-wide block (the in-place tile) and a 48-wide one
+                // (the packed tiles).
+                let p = ops.probabilities(rows, keys);
+                let tailed = |fill: f32| {
+                    let mut a = p.clone();
+                    for (i, &c) in cuts.iter().enumerate() {
+                        a.row_mut(i)[c..].fill(fill);
+                    }
+                    a
+                };
+                let (zeroed, poisoned) = (tailed(0.0), tailed(f32::NAN));
+                for block in [head, (72, 120)] {
+                    let want = context_reference(&p, &v, block, &cuts);
+                    for (a, tails) in [(&zeroed, "zero"), (&p, "live"), (&poisoned, "NaN")] {
+                        a.matmul_cols_into(&v, block.0, block.1, Some(&cuts), &mut ctx);
+                        let what = format!("context, {tails} tails, cols {block:?}, {what}");
+                        assert_bits(&ctx, &want, &what);
+                    }
+                    let all = vec![keys; rows];
+                    p.matmul_cols_into(&v, block.0, block.1, None, &mut ctx);
+                    let want = context_reference(&p, &v, block, &all);
+                    assert_bits(
+                        &ctx,
+                        &want,
+                        &format!("context, no cuts, cols {block:?}, {what}"),
+                    );
                 }
             }
         }

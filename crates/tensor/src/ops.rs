@@ -62,15 +62,16 @@ fn pow2i(tf: f32) -> f32 {
     f32::from_bits((tf + 8_388_735.0).to_bits() << 23)
 }
 
-/// Numerically stable softmax over `row[..live]`, with `row[live..]`
-/// forced to exactly zero — the blocked attention path's softmax: the
-/// causally masked tail is never exponentiated at all, and the live
-/// prefix runs `exp_fast` a full vector of lanes at a time. An
-/// all-masked (`live == 0`) row becomes all zeros, matching
-/// [`softmax_row`].
+/// Numerically stable softmax over `row[..live]`, leaving `row[live..]`
+/// as it is — the blocked attention path's softmax: the causally masked
+/// tail is never read or written (its one later reader, the context
+/// product, reads a row only below the same cut), and the live prefix
+/// runs `exp_fast` a full vector of lanes at a time. An
+/// all-masked (`live == 0`) row's prefix is empty; the probabilities
+/// equal [`softmax_row`]'s of the row with its tail masked, up to
+/// `exp_fast`'s error.
 pub fn softmax_prefix_fast(row: &mut [f32], live: usize) {
-    let (head, tail) = row.split_at_mut(live);
-    tail.fill(0.0);
+    let head = &mut row[..live];
     let max = head.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     if max == f32::NEG_INFINITY {
         head.fill(0.0);
@@ -243,15 +244,17 @@ mod tests {
                 })
                 .collect();
             let mut exact = fast.clone();
+            let tail: Vec<u32> = fast[live..].iter().map(|v| v.to_bits()).collect();
             for v in exact[live..].iter_mut() {
                 *v = f32::NEG_INFINITY;
             }
             softmax_row(&mut exact);
             softmax_prefix_fast(&mut fast, live);
-            for (a, b) in fast.iter().zip(exact.iter()) {
+            for (a, b) in fast[..live].iter().zip(exact.iter()) {
                 assert!((a - b).abs() < 1e-5, "{a} vs {b} (live {live})");
             }
-            assert!(fast[live..].iter().all(|&v| v == 0.0), "tail must be 0.0");
+            let kept: Vec<u32> = fast[live..].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(kept, tail, "the tail is left as it was");
         }
     }
 

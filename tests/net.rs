@@ -2,8 +2,9 @@
 //! parity, heartbeat-partition failover (with the idempotent-counting
 //! regression), error-detail preservation across the wire, and the
 //! survivability matrix — worker re-attach/adoption, client-invisible
-//! mid-stream retry (fuzzed across every kill position) — and what a
-//! client sees when its gateway connection dies.
+//! mid-stream retry (fuzzed across every kill position) — what a client
+//! sees when its gateway connection dies, and the cluster metrics scrape
+//! (over TCP, and past a worker whose connection died).
 
 use cacheblend::engine::ErrorCode;
 use cacheblend::kv::chunk::ChunkId;
@@ -15,14 +16,15 @@ use cacheblend::net::message::{
     Message, WireEvent, WireFailure, WireRequest, WireResponse, WireTtft,
 };
 use cacheblend::net::{
-    loopback_pair, Gateway, GatewayConfig, LoopbackTransport, NetClient, RetryPolicy, TcpTransport,
-    Transport, Worker, WorkerConfig,
+    loopback_pair, Gateway, GatewayConfig, LoopbackTransport, NetClient, NetError, RetryPolicy,
+    TcpTransport, Transport, Worker, WorkerConfig,
 };
 use cacheblend::prelude::*;
 use cacheblend::scheduler::ServiceProbe;
 use cacheblend::tokenizer::TokenKind::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -992,4 +994,141 @@ fn tcp_scrape_aggregates_cluster_metrics() {
         text.contains("cb_ttft_seconds{quantile=\"0.99\"}"),
         "prom quantile lines"
     );
+}
+
+/// The gateway's end of a worker that died without a clean close, as a
+/// TCP peer killed with `kill -9` looks: after `die()` every receive
+/// reports the connection closed, while a send still succeeds locally
+/// (the first write to a dead TCP peer does). It counts the `Metrics`
+/// requests written to it after its death.
+#[derive(Debug)]
+struct DeadPeer {
+    inner: LoopbackTransport,
+    dead: AtomicBool,
+    metrics_after_death: AtomicUsize,
+}
+
+impl DeadPeer {
+    fn new(inner: LoopbackTransport) -> Self {
+        Self {
+            inner,
+            dead: Default::default(),
+            metrics_after_death: Default::default(),
+        }
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+
+    fn die(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Transport for DeadPeer {
+    fn send(&self, msg: &Message) -> Result<(), NetError> {
+        if !self.is_dead() {
+            return self.inner.send(msg);
+        }
+        if matches!(msg, Message::Metrics { .. }) {
+            self.metrics_after_death.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(())
+    }
+
+    fn recv(&self) -> Result<Message, NetError> {
+        match self.is_dead() {
+            true => Err(NetError::Closed),
+            false => self.inner.recv(),
+        }
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Message, NetError> {
+        match self.is_dead() {
+            true => Err(NetError::Closed),
+            false => self.inner.recv_timeout(timeout),
+        }
+    }
+
+    fn peer(&self) -> String {
+        "dead-peer".into()
+    }
+}
+
+/// A scripted worker that hellos, then answers every `Metrics` request
+/// with a snapshot of its own registry, which counts one
+/// `cb_test_survivor_total`.
+fn metrics_worker(conn: LoopbackTransport, id: u64) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let registry = cacheblend::obs::metrics::Registry::new();
+        registry.counter("cb_test_survivor_total").inc();
+        conn.send(&Message::HelloWorker {
+            id,
+            incarnation: 1,
+            probe: healthy_probe(),
+            stats: ServiceStats::default(),
+        })
+        .expect("scripted hello");
+        while let Ok(msg) = conn.recv() {
+            match msg {
+                Message::Metrics { rpc } => {
+                    let snapshot = registry.snapshot().encode();
+                    let _ = conn.send(&Message::MetricsReply { rpc, snapshot });
+                }
+                Message::Shutdown => return,
+                _ => {}
+            }
+        }
+    })
+}
+
+/// A scrape asks only workers whose connection is alive: a worker the
+/// gateway saw die is skipped, even though a write to it would still
+/// succeed (and its reply would never come, so the scrape would wait out
+/// the RPC timeout). The survivors' replies are merged as usual.
+#[test]
+fn scrape_skips_a_worker_whose_connection_died() {
+    let _guard = serial();
+    // Health falls only with the connection: no heartbeat expiry.
+    let gateway =
+        Gateway::new(GatewayConfig::default().heartbeat_timeout(Duration::from_secs(3600)));
+    let (dead_worker_end, dead_gateway_end) = loopback_pair();
+    dead_worker_end
+        .send(&Message::HelloWorker {
+            id: 0xDEAD,
+            incarnation: 1,
+            probe: healthy_probe(),
+            stats: ServiceStats::default(),
+        })
+        .unwrap();
+    let dead = Arc::new(DeadPeer::new(dead_gateway_end));
+    assert_eq!(
+        gateway
+            .attach(Arc::clone(&dead) as Arc<dyn Transport>)
+            .unwrap(),
+        0
+    );
+    let (survivor_end, survivor_gateway_end) = loopback_pair();
+    let survivor = metrics_worker(survivor_end, 0xBEEF);
+    assert_eq!(gateway.attach(Arc::new(survivor_gateway_end)).unwrap(), 1);
+
+    dead.die();
+    wait_until("the gateway to see worker 0 die", || {
+        gateway.stats().failovers == 1
+    });
+    let merged = gateway.scrape();
+    assert_eq!(
+        dead.metrics_after_death.load(Ordering::SeqCst),
+        0,
+        "the scrape must not ask a worker whose connection died"
+    );
+    assert_eq!(
+        merged.counter("cb_test_survivor_total"),
+        Some(1),
+        "the survivor's reply is merged"
+    );
+    drop(gateway);
+    survivor.join().unwrap();
+    drop(dead_worker_end);
 }
